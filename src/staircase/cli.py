@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 import time
+from typing import Callable, NamedTuple, Sequence
 
 from .core import Order, Ring, determinant
 from .demo import presentation_rows
@@ -65,10 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command",
                                 parser_class=_Parser)
     sub.required = True
-
-    def add(name, help_text, needs_file=True):
-        p = sub.add_parser(name, help=help_text)
-        if needs_file:
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.over is not None:
             p.add_argument("file", help="problem file path")
         p.add_argument("--order", help="order weights, comma separated")
         p.add_argument("--seed", type=int, default=None,
@@ -81,26 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit the report as JSON")
         p.add_argument("--expect-yes", action="store_true", dest="expect_yes",
                        help="exit 2 unless every verdict is certified-yes")
-        return p
-
-    add("diagram", "standard basis and staircase of each ideal")
-    add("vertices", "staircase vertices of each ideal")
-    add("hilbert", "complement counts of each ideal up to --bound")
-    add("dim", "quotient dimension of each ideal")
-    add("regseq", "regular-sequence verdict per ideal; --bound adds an "
-                  "axis certificate")
-    add("flat-ci", "flatness verdict for each map germ")
-    add("milnor", "fibre length of each map germ when finite")
-    p = add("jet", "jets of each ideal's generators")
-    p.add_argument("--mu", required=True, help="jet order (single integer)")
-    p = add("sweep", "compare jet staircases against the full staircase")
-    p.add_argument("--mu", required=True, help="inclusive range a..b")
-    p.add_argument("--len", dest="length", type=int, default=None,
-                   help="slice length bound (default mu_max + 3)")
-    add("oracle-check", "cross-validate the two staircase engines")
-    p = add("det-example", "determinant identity for the built-in family",
-            needs_file=False)
-    p.add_argument("--mu", default="5..10", help="inclusive range a..b")
+        for flags, options in command.arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 
@@ -143,184 +125,8 @@ def _parse_mu_single(text):
     return value
 
 
-def _effective(args, options):
-    seed = args.seed if args.seed is not None else options.get("seed",
-                                                               _DEFAULT_SEED)
-    trials = (args.trials if args.trials is not None
-              else options.get("trials", _DEFAULT_TRIALS))
-    bound = args.bound if args.bound is not None else options.get("bound")
-    return seed, trials, bound
-
-
 def _points(vertices) -> list[list[int]]:
     return [list(v) for v in vertices]
-
-
-def _cmd_det_example(args):
-    low, high = _parse_mu_range(args.mu)
-    if low < 5:
-        raise _UsageError("det-example needs mu at least 5")
-    weights = _parse_order_flag(args.order) or (1, 1)
-    ring = Ring(("x", "y"), order=Order(weights))
-    x = ring.variable("x")
-    y = ring.variable("y")
-    results = []
-    all_match = True
-    for mu in range(low, high + 1):
-        det = determinant(presentation_rows(mu, ring))
-        expected = x * y ** (mu + 1)
-        match = det == expected
-        all_match = all_match and match
-        results.append({
-            "mu": mu,
-            "determinant": det.pretty(),
-            "expected": expected.pretty(),
-            "match": match,
-        })
-    report = {
-        "command": "det-example",
-        "inputs": {"builtin": "truncated-family", "mu": f"{low}..{high}"},
-        "seed": args.seed if args.seed is not None else _DEFAULT_SEED,
-        "order": list(weights),
-        "results": results,
-    }
-    return report, not all_match
-
-
-def _dispatch(args):
-    if args.command == "det-example":
-        return _cmd_det_example(args)
-
-    with open(args.file, "rb") as handle:
-        data = handle.read()
-    digest = hashlib.sha256(data).hexdigest()
-    problem = parse_problem(data.decode("utf-8"),
-                            order_override=_parse_order_flag(args.order))
-    ring = problem.ring
-    seed, trials, bound = _effective(args, problem.options)
-    report = {
-        "command": args.command,
-        "inputs": {
-            "file": args.file,
-            "sha256": digest,
-            "ideals": list(problem.ideals),
-            "maps": list(problem.maps),
-        },
-        "seed": seed,
-        "order": list(ring.order.weights),
-        "results": [],
-    }
-    results = report["results"]
-    expect_failed = False
-
-    if args.command == "diagram":
-        for name, gens in problem.ideals.items():
-            sb = standard_basis(gens, ring=ring)
-            results.append({
-                "name": name,
-                "generators": [g.pretty() for g in gens],
-                "standard_basis": [g.pretty() for g in sb.basis],
-                "vertices": sb.diagram.to_lists(),
-                "dimension": sb.diagram.quotient_dimension(),
-            })
-    elif args.command == "vertices":
-        for name, gens in problem.ideals.items():
-            d = diagram_of_ideal(gens, ring=ring)
-            results.append({"name": name, "vertices": d.to_lists()})
-    elif args.command == "hilbert":
-        top = bound if bound is not None else _DEFAULT_SLICE_BOUND
-        for name, gens in problem.ideals.items():
-            d = diagram_of_ideal(gens, ring=ring)
-            results.append({
-                "name": name,
-                "bound": top,
-                "values": [d.hilbert_samuel(k) for k in range(top + 1)],
-            })
-    elif args.command == "dim":
-        for name, gens in problem.ideals.items():
-            d = diagram_of_ideal(gens, ring=ring)
-            results.append({"name": name,
-                            "dimension": d.quotient_dimension()})
-    elif args.command == "regseq":
-        for name, gens in problem.ideals.items():
-            verdict = regular_sequence(gens, ring=ring)
-            entry = {"name": name, "verdict": verdict.to_dict()}
-            if bound is not None:
-                axis = regseq_axis_certificate(
-                    gens, trials=trials, seed=seed, bound=bound, ring=ring)
-                entry["axis_certificate"] = axis.to_dict()
-            results.append(entry)
-            if not verdict.is_yes:
-                expect_failed = True
-    elif args.command == "flat-ci":
-        for name, spec in problem.maps.items():
-            try:
-                verdict = flat_ci(spec)
-            except SourceNotCompleteIntersection as exc:
-                results.append({"name": name, "error": str(exc)})
-                expect_failed = True
-                continue
-            results.append({"name": name, "verdict": verdict.to_dict()})
-            if not verdict.is_yes:
-                expect_failed = True
-    elif args.command == "milnor":
-        for name, spec in problem.maps.items():
-            value = milnor_mu0(spec)
-            results.append({"name": name, "milnor_mu0": value,
-                            "finite": value is not None})
-    elif args.command == "jet":
-        mu = _parse_mu_single(args.mu)
-        for name, gens in problem.ideals.items():
-            jets = jet_ideal(gens, mu)
-            d = diagram_of_ideal(jets, ring=ring)
-            results.append({
-                "name": name,
-                "mu": mu,
-                "jets": [p.pretty() for p in jets],
-                "vertices": d.to_lists(),
-            })
-    elif args.command == "sweep":
-        low, high = _parse_mu_range(args.mu)
-        for name, gens in problem.ideals.items():
-            rep = jet_sweep(gens, low, high, length_bound=args.length,
-                            ring=ring)
-            results.append({
-                "name": name,
-                "length_bound": rep.length_bound,
-                "base_vertices": _points(rep.base_vertices),
-                "base_dimension": rep.base_dimension,
-                "rows": [{
-                    "mu": row.mu,
-                    "vertices": _points(row.vertices),
-                    "window_vertices": _points(row.window_vertices),
-                    "equal": row.equal,
-                    "equal_upto_bound": row.equal_upto_bound,
-                    "contains_base": row.window_contains_base,
-                    "dimension": row.quotient_dimension,
-                    "hilbert": list(row.hilbert),
-                    "new_points": _points(row.new_on_window),
-                } for row in rep.rows],
-                "stabilized_at": rep.stabilized_at,
-                "summary": rep.summary,
-            })
-    elif args.command == "oracle-check":
-        top = bound if bound is not None else _DEFAULT_SLICE_BOUND
-        for name, gens in problem.ideals.items():
-            rep = oracle_cross_check(gens, top, ring=ring)
-            results.append({
-                "name": name,
-                "bound": top,
-                "agree": rep.agree,
-                "first_difference": (list(rep.first_difference)
-                                     if rep.first_difference else None),
-                "oracle_vertices": _points(rep.oracle_vertices),
-                "basis_vertices": _points(rep.basis_vertices),
-            })
-            if not rep.agree:
-                expect_failed = True
-    else:
-        raise _UsageError(f"unknown command {args.command!r}")
-    return report, expect_failed
 
 
 def _fmt_points(points) -> str:
@@ -333,70 +139,311 @@ def _fmt_flag(value: bool) -> str:
     return "yes" if value else "no"
 
 
-def _human_entry(command: str, entry: dict) -> list[str]:
-    if command == "det-example":
-        status = "ok" if entry["match"] else "MISMATCH"
-        return [f"mu {entry['mu']}: det = {entry['determinant']} | "
-                f"expected {entry['expected']} | {status}"]
-    name = entry.get("name", "?")
-    if command == "diagram":
-        lines = [f"ideal {name}"]
-        lines += [f"  generator: {g}" for g in entry["generators"]]
-        lines += [f"  basis: {g}" for g in entry["standard_basis"]]
-        lines.append(f"  vertices: {_fmt_points(entry['vertices'])}")
-        lines.append(f"  dimension: {entry['dimension']}")
-        return lines
-    if command == "vertices":
-        return [f"ideal {name}: {_fmt_points(entry['vertices'])}"]
-    if command == "hilbert":
-        values = " ".join(str(v) for v in entry["values"])
-        return [f"ideal {name}: H(0..{entry['bound']}) = {values}"]
-    if command == "dim":
-        return [f"ideal {name}: dimension {entry['dimension']}"]
-    if command == "regseq":
-        verdict = entry["verdict"]
-        lines = [f"ideal {name}: {verdict['kind']}",
-                 f"  certificate: {json.dumps(verdict['certificate'], sort_keys=True)}"]
-        if "axis_certificate" in entry:
-            axis = entry["axis_certificate"]
-            lines.append(f"  axis certificate: {axis['kind']} "
-                         f"{json.dumps(axis['certificate'], sort_keys=True)}")
-        return lines
-    if command == "flat-ci":
-        if "error" in entry:
-            return [f"map {name}: error: {entry['error']}"]
-        verdict = entry["verdict"]
-        return [f"map {name}: {verdict['kind']}",
-                f"  certificate: {json.dumps(verdict['certificate'], sort_keys=True)}"]
-    if command == "milnor":
-        if entry["finite"]:
-            return [f"map {name}: milnor_mu0 = {entry['milnor_mu0']}"]
-        return [f"map {name}: fibre is not finite"]
-    if command == "jet":
-        lines = [f"ideal {name} at mu={entry['mu']}:"]
-        lines += [f"  {p}" for p in entry["jets"]]
-        lines.append(f"  vertices: {_fmt_points(entry['vertices'])}")
-        return lines
-    if command == "sweep":
-        lines = [f"ideal {name}  [length bound {entry['length_bound']}]",
-                 f"  base vertices: {_fmt_points(entry['base_vertices'])}"
-                 f"  dimension {entry['base_dimension']}"]
-        for row in entry["rows"]:
-            lines.append(
-                f"  mu {row['mu']}: slice {_fmt_points(row['window_vertices'])}"
-                f" | equal {_fmt_flag(row['equal'])}"
-                f" | equal_upto {_fmt_flag(row['equal_upto_bound'])}"
-                f" | contains base {_fmt_flag(row['contains_base'])}"
-                f" | dim {row['dimension']}"
-                f" | new {_fmt_points(row['new_points'])}")
-        lines.append(f"  summary: {entry['summary']}")
-        return lines
-    if command == "oracle-check":
-        if entry["agree"]:
-            return [f"ideal {name}: engines agree below length {entry['bound']}"]
-        where = ",".join(str(c) for c in entry["first_difference"])
-        return [f"ideal {name}: DISAGREE at ({where}) below length {entry['bound']}"]
-    return [json.dumps(entry, sort_keys=True)]
+def _fmt_certificate(verdict: dict) -> str:
+    return json.dumps(verdict["certificate"], sort_keys=True)
+
+
+def _run_diagram(args, ring, gens):
+    sb = standard_basis(gens, ring=ring)
+    return {
+        "generators": [g.pretty() for g in gens],
+        "standard_basis": [g.pretty() for g in sb.basis],
+        "vertices": sb.diagram.to_lists(),
+        "dimension": sb.diagram.quotient_dimension(),
+    }
+
+
+def _show_diagram(entry):
+    lines = [f"ideal {entry['name']}"]
+    lines += [f"  generator: {g}" for g in entry["generators"]]
+    lines += [f"  basis: {g}" for g in entry["standard_basis"]]
+    lines.append(f"  vertices: {_fmt_points(entry['vertices'])}")
+    lines.append(f"  dimension: {entry['dimension']}")
+    return lines
+
+
+def _run_vertices(args, ring, gens):
+    return {"vertices": diagram_of_ideal(gens, ring=ring).to_lists()}
+
+
+def _show_vertices(entry):
+    return [f"ideal {entry['name']}: {_fmt_points(entry['vertices'])}"]
+
+
+def _run_hilbert(args, ring, gens):
+    top = args.bound if args.bound is not None else _DEFAULT_SLICE_BOUND
+    d = diagram_of_ideal(gens, ring=ring)
+    return {"bound": top, "values": d.hilbert_vector(top)}
+
+
+def _show_hilbert(entry):
+    values = " ".join(str(v) for v in entry["values"])
+    return [f"ideal {entry['name']}: H(0..{entry['bound']}) = {values}"]
+
+
+def _run_dim(args, ring, gens):
+    return {"dimension": diagram_of_ideal(gens, ring=ring).quotient_dimension()}
+
+
+def _show_dim(entry):
+    return [f"ideal {entry['name']}: dimension {entry['dimension']}"]
+
+
+def _run_regseq(args, ring, gens):
+    entry = {"verdict": regular_sequence(gens, ring=ring).to_dict()}
+    if args.bound is not None:
+        axis = regseq_axis_certificate(gens, trials=args.trials, seed=args.seed,
+                                       bound=args.bound, ring=ring)
+        entry["axis_certificate"] = axis.to_dict()
+    return entry
+
+
+def _show_regseq(entry):
+    lines = [f"ideal {entry['name']}: {entry['verdict']['kind']}",
+             f"  certificate: {_fmt_certificate(entry['verdict'])}"]
+    if "axis_certificate" in entry:
+        axis = entry["axis_certificate"]
+        lines.append(f"  axis certificate: {axis['kind']} "
+                     f"{_fmt_certificate(axis)}")
+    return lines
+
+
+def _run_flat_ci(args, ring, spec):
+    try:
+        return {"verdict": flat_ci(spec).to_dict()}
+    except SourceNotCompleteIntersection as exc:
+        return {"error": str(exc)}
+
+
+def _show_flat_ci(entry):
+    if "error" in entry:
+        return [f"map {entry['name']}: error: {entry['error']}"]
+    return [f"map {entry['name']}: {entry['verdict']['kind']}",
+            f"  certificate: {_fmt_certificate(entry['verdict'])}"]
+
+
+def _not_yes(entry) -> bool:
+    return "error" in entry or entry["verdict"]["kind"] != "certified-yes"
+
+
+def _run_milnor(args, ring, spec):
+    value = milnor_mu0(spec)
+    return {"milnor_mu0": value, "finite": value is not None}
+
+
+def _show_milnor(entry):
+    if entry["finite"]:
+        return [f"map {entry['name']}: milnor_mu0 = {entry['milnor_mu0']}"]
+    return [f"map {entry['name']}: fibre is not finite"]
+
+
+def _run_jet(args, ring, gens):
+    jets = jet_ideal(gens, args.mu)
+    return {
+        "mu": args.mu,
+        "jets": [p.pretty() for p in jets],
+        "vertices": diagram_of_ideal(jets, ring=ring).to_lists(),
+    }
+
+
+def _show_jet(entry):
+    lines = [f"ideal {entry['name']} at mu={entry['mu']}:"]
+    lines += [f"  {p}" for p in entry["jets"]]
+    lines.append(f"  vertices: {_fmt_points(entry['vertices'])}")
+    return lines
+
+
+def _run_sweep(args, ring, gens):
+    low, high = args.mu
+    rep = jet_sweep(gens, low, high, length_bound=args.length, ring=ring)
+    return {
+        "length_bound": rep.length_bound,
+        "base_vertices": _points(rep.base_vertices),
+        "base_dimension": rep.base_dimension,
+        "rows": [{
+            "mu": row.mu,
+            "vertices": _points(row.vertices),
+            "window_vertices": _points(row.window_vertices),
+            "equal": row.equal,
+            "equal_upto_bound": row.equal_upto_bound,
+            "contains_base": row.window_contains_base,
+            "dimension": row.quotient_dimension,
+            "hilbert": list(row.hilbert),
+            "new_points": _points(row.new_on_window),
+        } for row in rep.rows],
+        "stabilized_at": rep.stabilized_at,
+        "summary": rep.summary,
+    }
+
+
+def _show_sweep(entry):
+    lines = [f"ideal {entry['name']}  [length bound {entry['length_bound']}]",
+             f"  base vertices: {_fmt_points(entry['base_vertices'])}"
+             f"  dimension {entry['base_dimension']}"]
+    for row in entry["rows"]:
+        lines.append(
+            f"  mu {row['mu']}: slice {_fmt_points(row['window_vertices'])}"
+            f" | equal {_fmt_flag(row['equal'])}"
+            f" | equal_upto {_fmt_flag(row['equal_upto_bound'])}"
+            f" | contains base {_fmt_flag(row['contains_base'])}"
+            f" | dim {row['dimension']}"
+            f" | new {_fmt_points(row['new_points'])}")
+    lines.append(f"  summary: {entry['summary']}")
+    return lines
+
+
+def _run_oracle_check(args, ring, gens):
+    top = args.bound if args.bound is not None else _DEFAULT_SLICE_BOUND
+    rep = oracle_cross_check(gens, top, ring=ring)
+    return {
+        "bound": top,
+        "agree": rep.agree,
+        "first_difference": (list(rep.first_difference)
+                             if rep.first_difference else None),
+        "oracle_vertices": _points(rep.oracle_vertices),
+        "basis_vertices": _points(rep.basis_vertices),
+    }
+
+
+def _show_oracle_check(entry):
+    if entry["agree"]:
+        return [f"ideal {entry['name']}: engines agree "
+                f"below length {entry['bound']}"]
+    where = ",".join(str(c) for c in entry["first_difference"])
+    return [f"ideal {entry['name']}: DISAGREE at ({where}) "
+            f"below length {entry['bound']}"]
+
+
+def _run_det_example(args):
+    low, high = args.mu
+    if low < 5:
+        raise _UsageError("det-example needs mu at least 5")
+    weights = _parse_order_flag(args.order) or (1, 1)
+    ring = Ring(("x", "y"), order=Order(weights))
+    x = ring.variable("x")
+    y = ring.variable("y")
+    results = []
+    for mu in range(low, high + 1):
+        det = determinant(presentation_rows(mu, ring))
+        expected = x * y ** (mu + 1)
+        results.append({
+            "mu": mu,
+            "determinant": det.pretty(),
+            "expected": expected.pretty(),
+            "match": det == expected,
+        })
+    return {
+        "command": "det-example",
+        "inputs": {"builtin": "truncated-family", "mu": f"{low}..{high}"},
+        "seed": args.seed if args.seed is not None else _DEFAULT_SEED,
+        "order": list(weights),
+        "results": results,
+    }
+
+
+def _show_det_example(entry):
+    status = "ok" if entry["match"] else "MISMATCH"
+    return [f"mu {entry['mu']}: det = {entry['determinant']} | "
+            f"expected {entry['expected']} | {status}"]
+
+
+class _Command(NamedTuple):
+    """One subcommand: its help, extra arguments, compute and render.
+
+    `compute(args, ring, item)` gives the result entry, less its name, of one
+    ideal or map, as `over` says, with seed, trials and bound in `args`
+    resolved against the file's options. With `over` None no file is read
+    and `compute(args)` builds the whole report. `render` gives one entry's
+    output lines; `failed` marks the entries that make --expect-yes exit 2.
+    """
+
+    help: str
+    compute: Callable
+    render: Callable[[dict], list[str]]
+    over: str | None = "ideals"
+    failed: Callable[[dict], bool] = lambda entry: False
+    arguments: Sequence = ()  # (flags, options) pairs for add_argument
+
+
+COMMANDS = {
+    "diagram": _Command("standard basis and staircase of each ideal",
+                        _run_diagram, _show_diagram),
+    "vertices": _Command("staircase vertices of each ideal",
+                         _run_vertices, _show_vertices),
+    "hilbert": _Command("complement counts of each ideal up to --bound",
+                        _run_hilbert, _show_hilbert),
+    "dim": _Command("quotient dimension of each ideal", _run_dim, _show_dim),
+    "regseq": _Command("regular-sequence verdict per ideal; --bound adds an "
+                       "axis certificate",
+                       _run_regseq, _show_regseq, failed=_not_yes),
+    "flat-ci": _Command("flatness verdict for each map germ",
+                        _run_flat_ci, _show_flat_ci, over="maps",
+                        failed=_not_yes),
+    "milnor": _Command("fibre length of each map germ when finite",
+                       _run_milnor, _show_milnor, over="maps"),
+    "jet": _Command(
+        "jets of each ideal's generators", _run_jet, _show_jet,
+        arguments=[(("--mu",), {"required": True, "type": _parse_mu_single,
+                                "help": "jet order (single integer)"})]),
+    "sweep": _Command(
+        "compare jet staircases against the full staircase",
+        _run_sweep, _show_sweep,
+        arguments=[
+            (("--mu",), {"required": True, "type": _parse_mu_range,
+                         "help": "inclusive range a..b"}),
+            (("--len",), {"dest": "length", "type": int, "default": None,
+                          "help": "slice length bound (default mu_max + 3)"}),
+        ]),
+    "oracle-check": _Command("cross-validate the two staircase engines",
+                             _run_oracle_check, _show_oracle_check,
+                             failed=lambda entry: not entry["agree"]),
+    "det-example": _Command(
+        "determinant identity for the built-in family",
+        _run_det_example, _show_det_example, over=None,
+        failed=lambda entry: not entry["match"],
+        arguments=[(("--mu",), {"default": "5..10", "type": _parse_mu_range,
+                                "help": "inclusive range a..b"})]),
+}
+
+
+def _file_report(args, command):
+    with open(args.file, "rb") as handle:
+        data = handle.read()
+    digest = hashlib.sha256(data).hexdigest()
+    problem = parse_problem(data.decode("utf-8"),
+                            order_override=_parse_order_flag(args.order))
+    # Flags override the file's options, which override the defaults.
+    options = problem.options
+    if args.seed is None:
+        args.seed = options.get("seed", _DEFAULT_SEED)
+    if args.trials is None:
+        args.trials = options.get("trials", _DEFAULT_TRIALS)
+    if args.bound is None:
+        args.bound = options.get("bound")
+    return {
+        "command": args.command,
+        "inputs": {
+            "file": args.file,
+            "sha256": digest,
+            "ideals": list(problem.ideals),
+            "maps": list(problem.maps),
+        },
+        "seed": args.seed,
+        "order": list(problem.ring.order.weights),
+        "results": [{"name": name, **command.compute(args, problem.ring, item)}
+                    for name, item in getattr(problem, command.over).items()],
+    }
+
+
+def _dispatch(args):
+    if args.bound is not None and args.bound < 0:
+        raise _UsageError("--bound requires a nonnegative integer")
+    command = COMMANDS[args.command]
+    if command.over is None:
+        report = command.compute(args)
+    else:
+        report = _file_report(args, command)
+    return report, any(command.failed(entry) for entry in report["results"])
 
 
 def _render(report: dict, as_json: bool) -> str:
@@ -409,8 +456,9 @@ def _render(report: dict, as_json: bool) -> str:
         lines.append(f"sha256: {inputs['sha256']}")
     order = ",".join(str(w) for w in report["order"])
     lines.append(f"seed: {report['seed']}  order: {order}")
+    render = COMMANDS[report["command"]].render
     for entry in report["results"]:
-        lines.extend(_human_entry(report["command"], entry))
+        lines.extend(render(entry))
     return "\n".join(lines) + "\n"
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "exp_sub",
     "exp_divides",
     "exp_lcm",
+    "resolve_ring",
 ]
 
 Exponent = tuple[int, ...]
@@ -480,6 +481,23 @@ class Poly:
 
     def __hash__(self):
         return hash((self.ring, self.terms))
+
+
+def resolve_ring(gens, ring: Ring | None) -> tuple[tuple[Poly, ...], Ring]:
+    """The generators as a tuple and their common ring.
+
+    The ring defaults to that of the first generator; every generator must be
+    a polynomial in it.
+    """
+    gens = tuple(gens)
+    if ring is None:
+        if not gens:
+            raise ValueError("a ring is required when no generators are given")
+        ring = gens[0].ring
+    for g in gens:
+        if not isinstance(g, Poly) or g.ring != ring:
+            raise ValueError("generators must be polynomials in one ring")
+    return gens, ring
 
 
 def _fraction_matrix_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .core import CoordChange, Exponent, Poly, Ring, total_degree
+from .core import CoordChange, Exponent, Poly, Ring, resolve_ring, total_degree
 from .diagram import Diagram, exponents_upto
 from .jet_oracle import truncated_diagram
 from .standard_basis import diagram_of_ideal
@@ -137,18 +137,6 @@ class MapSpec:
         return len(self.components)
 
 
-def _resolve(gens, ring: Ring | None) -> tuple[tuple[Poly, ...], Ring]:
-    gens = tuple(gens)
-    if ring is None:
-        if not gens:
-            raise ValueError("a ring is required when no generators are given")
-        ring = gens[0].ring
-    for g in gens:
-        if not isinstance(g, Poly) or g.ring != ring:
-            raise ValueError("generators must be polynomials in one ring")
-    return gens, ring
-
-
 def jet_ideal(gens, mu: int) -> list[Poly]:
     """Jets of the generators, zero results dropped."""
     out = []
@@ -167,7 +155,7 @@ def regular_sequence(gens, *, ring: Ring | None = None,
     dimension m - s. The unit ideal and oversized sequences are rejected
     outright; the empty sequence is regular.
     """
-    gens, ring = _resolve(gens, ring)
+    gens, ring = resolve_ring(gens, ring)
     m = ring.arity
     s = len(gens)
     if s > m:
@@ -222,7 +210,7 @@ def regseq_axis_certificate(gens, *, trials: int = 8, seed: int = 0,
     sequence is regular; the certificate is self-validating. Absence of a
     witness is only ever UnknownAtBound, never a negative.
     """
-    gens, ring = _resolve(gens, ring)
+    gens, ring = resolve_ring(gens, ring)
     if trials < 1:
         raise ValueError("at least one trial is required")
     if bound < 1:
@@ -477,7 +465,7 @@ def jet_sweep(gens, mu_min: int, mu_max: int, *, length_bound: int | None = None
     over the base staircase. The summary only ever reports stabilization
     observed inside the range.
     """
-    gens, ring = _resolve(gens, ring)
+    gens, ring = resolve_ring(gens, ring)
     if mu_min > mu_max:
         raise ValueError("empty jet range")
     if length_bound is None:
@@ -503,7 +491,7 @@ def jet_sweep(gens, mu_min: int, mu_max: int, *, length_bound: int | None = None
                 exact.contains(v) for v in base.vertices
                 if total_degree(v) <= length_bound),
             quotient_dimension=exact.quotient_dimension(),
-            hilbert=tuple(exact.hilbert_samuel(k) for k in range(length_bound + 1)),
+            hilbert=tuple(exact.hilbert_vector(length_bound)),
             new_on_window=new_min,
         ))
     stabilized_at = None
@@ -551,7 +539,7 @@ def dimension_semicontinuity_probe(gens, mu_range, *, ring: Ring | None = None,
     The dimension of every jet ideal is bounded below by m - s; the report
     flags the first order whose dimension matches the full ideal's.
     """
-    gens, ring = _resolve(gens, ring)
+    gens, ring = resolve_ring(gens, ring)
     full = diagram_of_ideal(gens, ring=ring, pool_ceiling=pool_ceiling)
     dim = full.quotient_dimension()
     lower = ring.arity - len(gens)
@@ -622,7 +610,7 @@ def perturbation_test(gens, mu: int, *, samples: int = 20, seed: int = 0,
     germ with smooth source. A violation (verdict kind changed) at an order
     at or beyond a certified full-scope bound would certify a defect.
     """
-    gens, ring = _resolve(gens, ring)
+    gens, ring = resolve_ring(gens, ring)
     if property_name not in ("regseq", "flat_ci"):
         raise ValueError("property must be 'regseq' or 'flat_ci'")
 

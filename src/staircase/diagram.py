@@ -2,49 +2,73 @@
 
 A diagram is a subset G of N^m with G + N^m = G; it is determined by its
 minimal elements under the componentwise order, and that antichain is the
-stored data. Lengths here are always unweighted totals.
+stored data. Diagram queries measure unweighted total length; the exponent
+enumerator and the covering length take the order whose length they use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations, product
 from typing import Iterable, Iterator
 
-from .core import Exponent, total_degree
+from .core import Exponent, Order, exp_divides, total_degree
 
 __all__ = [
     "Diagram",
     "DiagramSlice",
+    "covering_length",
+    "exponents_below",
     "exponents_of_length",
     "exponents_upto",
 ]
 
 
-def exponents_of_length(arity: int, n: int) -> Iterator[Exponent]:
-    """All exponents in N^arity of total degree exactly n."""
-    if arity == 0:
-        if n == 0:
-            yield ()
-        return
-    if arity == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in exponents_of_length(arity - 1, n - first):
-            yield (first,) + rest
+def exponents_below(order: Order, bound: int) -> list[Exponent]:
+    """Exponents of weighted length strictly below bound, order ascending."""
+    rows: list[tuple[Exponent, int]] = [((), 0)] if bound > 0 else []
+    for w in order.weights:
+        rows = [(e + (k,), n + w * k)
+                for e, n in rows for k in range((bound - 1 - n) // w + 1)]
+    # The rows are lexicographically ascending, so splitting them stably by
+    # length lists them ascending in the order's key (length, e1, ..., em).
+    by_length: list[list[Exponent]] = [[] for _ in range(max(bound, 0))]
+    for e, n in rows:
+        by_length[n].append(e)
+    return [e for bucket in by_length for e in bucket]
 
 
 def exponents_upto(arity: int, bound: int) -> list[Exponent]:
     """All exponents of total degree at most bound, ascending in the unit order."""
-    out: list[Exponent] = []
-    for n in range(bound + 1):
-        out.extend(sorted(exponents_of_length(arity, n)))
-    return out
+    return exponents_below(Order.unit(arity), bound + 1)
 
 
-def _dominates(e: Exponent, v: Exponent) -> bool:
-    return all(x >= y for x, y in zip(e, v))
+def exponents_of_length(arity: int, n: int) -> Iterator[Exponent]:
+    """All exponents in N^arity of total degree exactly n."""
+    return (e for e in exponents_upto(arity, n) if total_degree(e) == n)
+
+
+def covering_length(exps: Iterable[Exponent], order: Order) -> int | None:
+    """Least L with every exponent of length >= L in the staircase of exps.
+
+    Lengths are measured by the order. Returns None when some axis has no
+    pure power among the exponents, i.e. when the staircase complement is
+    infinite. Otherwise the complement lies in the box below the smallest
+    pure powers, and L is one past the longest complement point there.
+    """
+    exps = list(exps)
+    axis_powers = []
+    for i in range(order.arity):
+        pures = [e[i] for e in exps
+                 if all(x == 0 for j, x in enumerate(e) if j != i)]
+        if not pures:
+            return None
+        axis_powers.append(min(pures))
+    cap = 0
+    for point in product(*(range(p) for p in axis_powers)):
+        if not any(exp_divides(v, point) for v in exps):
+            cap = max(cap, order.length(point) + 1)
+    return cap
 
 
 @dataclass(frozen=True)
@@ -62,7 +86,7 @@ class Diagram:
         vs = tuple(sorted(set(vs), key=lambda v: (total_degree(v), v)))
         for a in vs:
             for b in vs:
-                if a != b and _dominates(a, b):
+                if a != b and exp_divides(b, a):
                     raise ValueError("vertices must form an antichain")
         object.__setattr__(self, "vertices", vs)
 
@@ -84,7 +108,7 @@ class Diagram:
             raise ValueError("an empty exponent set needs an explicit arity")
         pts = set(pts)
         minimal = [
-            p for p in pts if not any(q != p and _dominates(p, q) for q in pts)
+            p for p in pts if not any(q != p and exp_divides(q, p) for q in pts)
         ]
         return cls(arity, tuple(minimal))
 
@@ -96,17 +120,24 @@ class Diagram:
         exp = tuple(exp)
         if len(exp) != self.arity:
             raise ValueError("exponent arity does not match the diagram")
-        return any(_dominates(exp, v) for v in self.vertices)
+        return any(exp_divides(v, exp) for v in self.vertices)
 
     def complement_upto(self, bound: int) -> list[Exponent]:
         """Exponents outside the diagram of length <= bound, order ascending."""
         return [e for e in exponents_upto(self.arity, bound) if not self.contains(e)]
 
+    def hilbert_vector(self, bound: int) -> list[int]:
+        """[hilbert_samuel(k) for k in range(bound + 1)] from one enumeration."""
+        counts = [0] * (bound + 1)
+        for e in self.complement_upto(bound):
+            counts[total_degree(e)] += 1
+        return list(accumulate(counts))
+
     def hilbert_samuel(self, k: int) -> int:
         """Number of complement exponents of length at most k."""
         if k < 0:
             return 0
-        return len(self.complement_upto(k))
+        return self.hilbert_vector(k)[k]
 
     def quotient_dimension(self) -> int:
         """Krull dimension of the monomial quotient attached to the diagram.
@@ -133,21 +164,7 @@ class Diagram:
 
     def power_of_maximal(self) -> int | None:
         """Least k with every exponent of length k inside, None if there is none."""
-        if self.quotient_dimension() > 0:
-            return None
-        axis_powers = []
-        for i in range(self.arity):
-            cs = [
-                v[i]
-                for v in self.vertices
-                if all(e == 0 for j, e in enumerate(v) if j != i)
-            ]
-            axis_powers.append(min(cs))
-        worst = 0
-        for box in _box_points(axis_powers):
-            if not self.contains(box):
-                worst = max(worst, total_degree(box) + 1)
-        return worst
+        return covering_length(self.vertices, Order.unit(self.arity))
 
     def equal_upto(self, other: "Diagram", bound: int) -> bool:
         """Membership agreement for every exponent of length at most bound."""
@@ -160,15 +177,6 @@ class Diagram:
 
     def to_lists(self) -> list[list[int]]:
         return [list(v) for v in self.vertices]
-
-
-def _box_points(limits: list[int]) -> Iterator[Exponent]:
-    if not limits:
-        yield ()
-        return
-    for first in range(limits[0]):
-        for rest in _box_points(limits[1:]):
-            yield (first,) + rest
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Exponent, Order, Poly, Ring, exp_add
-from .diagram import Diagram, DiagramSlice
+from .core import Exponent, Poly, Ring, exp_add, resolve_ring
+from .diagram import Diagram, DiagramSlice, exponents_below
 from .standard_basis import standard_basis
 
 __all__ = [
@@ -28,43 +28,6 @@ __all__ = [
     "truncated_quotient_dim",
     "oracle_cross_check",
 ]
-
-
-def exponents_below(order: Order, bound: int) -> list[Exponent]:
-    """Exponents of weighted length strictly below bound, order ascending."""
-    if bound <= 0:
-        return []
-    weights = order.weights
-    out: list[Exponent] = []
-    prefix: list[int] = []
-
-    def rec(budget: int, i: int) -> None:
-        if i == len(weights):
-            out.append(tuple(prefix))
-            return
-        w = weights[i]
-        e = 0
-        while w * e <= budget:
-            prefix.append(e)
-            rec(budget - w * e, i + 1)
-            prefix.pop()
-            e += 1
-
-    rec(bound - 1, 0)
-    out.sort(key=order.key)
-    return out
-
-
-def _resolve_ring(gens, ring: Ring | None) -> tuple[tuple[Poly, ...], Ring]:
-    gens = tuple(gens)
-    if ring is None:
-        if not gens:
-            raise ValueError("a ring is required when no generators are given")
-        ring = gens[0].ring
-    for g in gens:
-        if not isinstance(g, Poly) or g.ring != ring:
-            raise ValueError("generators must be polynomials in one ring")
-    return gens, ring
 
 
 @dataclass
@@ -85,7 +48,7 @@ class TruncationBasis:
 
     @classmethod
     def build(cls, gens, bound: int, *, ring: Ring | None = None) -> "TruncationBasis":
-        gens, ring = _resolve_ring(gens, ring)
+        gens, ring = resolve_ring(gens, ring)
         if bound < 1:
             raise ValueError("the truncation bound must be at least 1")
         order = ring.order
@@ -154,9 +117,8 @@ class TruncationBasis:
 
 def truncated_diagram(gens, bound: int, *, ring: Ring | None = None) -> DiagramSlice:
     """Window of the diagram of initial exponents below the length bound."""
-    gens, ring = _resolve_ring(gens, ring)
     basis = TruncationBasis.build(gens, bound, ring=ring)
-    d = Diagram.from_exponents(basis.pivot_exponents(), arity=ring.arity)
+    d = Diagram.from_exponents(basis.pivot_exponents(), arity=basis.ring.arity)
     return DiagramSlice(d, bound - 1, True)
 
 
@@ -166,7 +128,6 @@ def truncated_quotient_dim(gens, bound: int, *, ring: Ring | None = None) -> int
     Equals the number of non-pivot monomials in the window, which is also the
     count of complement exponents of length below the bound.
     """
-    gens, ring = _resolve_ring(gens, ring)
     return TruncationBasis.build(gens, bound, ring=ring).nonpivot_count()
 
 
@@ -185,7 +146,7 @@ def oracle_cross_check(gens, bound: int, *, ring: Ring | None = None) -> CrossCh
     Any disagreement on an exponent inside the window indicates a defect in
     one of the two engines; the first offender in order position is reported.
     """
-    gens, ring = _resolve_ring(gens, ring)
+    gens, ring = resolve_ring(gens, ring)
     window = truncated_diagram(gens, bound, ring=ring)
     exact = standard_basis(gens, ring=ring).diagram
     first = None

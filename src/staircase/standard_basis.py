@@ -26,8 +26,10 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Exponent, Poly, Ring, exp_add, exp_divides, exp_lcm, exp_sub
-from .diagram import Diagram, _box_points
+from .core import (
+    Exponent, Poly, Ring, exp_add, exp_divides, exp_lcm, exp_sub, resolve_ring,
+)
+from .diagram import Diagram, covering_length
 
 __all__ = [
     "DEFAULT_POOL_CEILING",
@@ -124,30 +126,6 @@ def _drop_deep_terms(p: Poly, cap: int | None) -> Poly:
     if len(kept) == len(p.terms):
         return p
     return Poly(p.ring, kept)
-
-
-def _zero_dim_length_cap(inexps, ring: Ring) -> int | None:
-    """Least L with every exponent of weighted length >= L in the staircase.
-
-    Returns None while some axis has no pure power among the initial
-    exponents, i.e. while the staircase complement is infinite. When the
-    complement is finite, any monomial of length >= L reduces forever inside
-    the staircase, hence converges to an element of the ideal by Krull
-    intersection; deleting such terms during division is therefore exact.
-    """
-    axis_powers = []
-    for i in range(ring.arity):
-        pures = [e[i] for e in inexps
-                 if all(x == 0 for j, x in enumerate(e) if j != i)]
-        if not pures:
-            return None
-        axis_powers.append(min(pures))
-    length = ring.order.length
-    cap = 0
-    for point in _box_points(axis_powers):
-        if not any(exp_divides(v, point) for v in inexps):
-            cap = max(cap, length(point) + 1)
-    return cap
 
 
 def mora_normal_form(
@@ -274,14 +252,7 @@ def standard_basis(
     content normalized; s-pairs are processed ascending by lcm so reruns are
     reproducible.
     """
-    gens = tuple(gens)
-    if ring is None:
-        if not gens:
-            raise ValueError("a ring is required when no generators are given")
-        ring = gens[0].ring
-    for g in gens:
-        if not isinstance(g, Poly) or g.ring != ring:
-            raise ValueError("generators must be polynomials in one ring")
+    gens, ring = resolve_ring(gens, ring)
     basis: list[Poly] = [g.content_normalized() for g in gens if not g.is_zero]
     inexps: list[Exponent] = [b.initial_exponent() for b in basis]
     records: list[SPairRecord] = []
@@ -295,7 +266,10 @@ def standard_basis(
 
     for j in range(len(basis)):
         push_pairs(j)
-    cap = _zero_dim_length_cap(inexps, ring)
+    # With a finite complement, a monomial of length >= cap reduces forever
+    # inside the staircase, so it converges to an ideal element by Krull
+    # intersection and dividers may delete it exactly.
+    cap = covering_length(inexps, ring.order)
     while heap:
         _, i, j = heapq.heappop(heap)
         lcm = exp_lcm(inexps[i], inexps[j])
@@ -317,7 +291,7 @@ def standard_basis(
         new_index = len(basis) - 1
         records.append(SPairRecord(i, j, lcm, len(trace.steps), False, new_index))
         push_pairs(new_index)
-        cap = _zero_dim_length_cap(inexps, ring)
+        cap = covering_length(inexps, ring.order)
     diagram = Diagram.from_exponents(inexps, arity=ring.arity)
     return SBasis(gens, tuple(basis), diagram, tuple(records))
 

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: bodies, reports, exit codes."""
 
 import json
+from pathlib import Path
 from textwrap import dedent
 
 import jsonschema
@@ -255,6 +256,7 @@ def test_missing_file_exit_code(capsys, tmp_path):
     ["det-example", "--mu", "4..6"],
     ["det-example", "--mu", "7..5"],
     ["det-example", "--mu", "x"],
+    ["det-example", "--bound", "-3"],
 ])
 def test_usage_errors(capsys, files, argv):
     code, _, err = run(capsys, argv)
@@ -268,6 +270,7 @@ def test_usage_errors_with_file(capsys, files):
         ["sweep", files["main"], "--mu", "7..5"],
         ["vertices", files["main"], "--order", "1,x"],
         ["vertices", files["main"], "--order", "0,1"],
+        ["hilbert", files["main"], "--bound", "-3"],
     ):
         code, _, err = run(capsys, argv)
         assert code == 1
@@ -280,3 +283,32 @@ def test_pool_ceiling_exit_code(capsys, files, monkeypatch):
     assert code == 3
     assert out == ""
     assert "resource ceiling" in err
+
+
+# Full human and JSON stdout of every command on MAIN_FILE. Stdout is part
+# of the interface, so a file here changes only with an intended output change.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("stem,argv", [
+    ("diagram", ["diagram", "main.txt"]),
+    ("vertices", ["vertices", "main.txt"]),
+    ("hilbert", ["hilbert", "main.txt"]),
+    ("dim", ["dim", "main.txt"]),
+    ("regseq", ["regseq", "main.txt", "--bound", "8"]),
+    ("flat-ci", ["flat-ci", "main.txt"]),
+    ("milnor", ["milnor", "main.txt"]),
+    ("jet", ["jet", "main.txt", "--mu", "5"]),
+    ("sweep", ["sweep", "main.txt", "--mu", "5..7"]),
+    ("sweep-order", ["sweep", "main.txt", "--mu", "5..7", "--order", "2,3"]),
+    ("oracle-check", ["oracle-check", "main.txt"]),
+    ("det-example", ["det-example"]),
+])
+@pytest.mark.parametrize("suffix,flags", [(".txt", []), (".json", ["--json"])])
+def test_golden_stdout(capsys, tmp_path, monkeypatch, stem, argv, suffix, flags):
+    # A relative file name keeps the `file:` line independent of tmp_path.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "main.txt").write_text(MAIN_FILE)
+    code, out, _ = run(capsys, argv + flags)
+    assert code == 0
+    assert out == (GOLDEN / (stem + suffix)).read_text()

@@ -1,10 +1,19 @@
 """Staircase containers: membership, complements, dimension, stability."""
 
 import random
+from itertools import product
 
 import pytest
 
-from staircase import Diagram, DiagramSlice, exponents_of_length, exponents_upto
+from staircase import (
+    Diagram,
+    DiagramSlice,
+    Order,
+    exponents_below,
+    exponents_of_length,
+    exponents_upto,
+)
+from staircase.diagram import covering_length
 
 
 def test_enumerators_are_ordered():
@@ -13,6 +22,13 @@ def test_enumerators_are_ordered():
         (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
     assert exponents_upto(1, 3) == [(0,), (1,), (2,), (3,)]
     assert exponents_upto(2, -1) == []
+
+
+def test_exponents_upto_is_the_unit_order_enumerator():
+    for arity in range(1, 5):
+        for bound in range(-2, 9):
+            assert exponents_upto(arity, bound) == exponents_below(
+                Order.unit(arity), bound + 1)
 
 
 def test_vertices_must_form_an_antichain():
@@ -106,6 +122,39 @@ def test_power_of_maximal_is_sharp():
             sphere_below = all(d.contains(e)
                                for e in exponents_of_length(arity, k - 1))
             assert not sphere_below
+
+
+def test_covering_length_is_least_under_random_weights():
+    rng = random.Random(211)
+    for _ in range(150):
+        arity = rng.randint(1, 3)
+        order = Order(tuple(rng.randint(1, 3) for _ in range(arity)))
+        powers = [rng.randint(1, 4) for _ in range(arity)]
+        exps = [tuple(p if j == i else 0 for j in range(arity))
+                for i, p in enumerate(powers)]
+        exps += [tuple(rng.randint(0, 4) for _ in range(arity))
+                 for _ in range(rng.randint(0, 3))]
+        rng.shuffle(exps)
+        d = Diagram.from_exponents(exps, arity=arity)
+        # The complement lies below the axis powers, so this box holds it
+        # together with exponents of every length up to past its longest.
+        box = list(product(range(max(powers) + 2), repeat=arity))
+        least = next(cap for cap in range(100) if all(
+            d.contains(e) for e in box if order.length(e) >= cap))
+        assert covering_length(exps, order) == least
+
+
+def test_hilbert_vector_matches_pointwise_counts():
+    rng = random.Random(307)
+    for _ in range(60):
+        arity = rng.randint(1, 3)
+        points = [tuple(rng.randint(0, 4) for _ in range(arity))
+                  for _ in range(rng.randint(0, 4))]
+        d = Diagram.from_exponents(points, arity=arity)
+        k = rng.randint(-1, 9)
+        vector = d.hilbert_vector(k)
+        assert vector == [d.hilbert_samuel(j) for j in range(k + 1)]
+        assert vector == [len(d.complement_upto(j)) for j in range(k + 1)]
 
 
 def test_equal_upto():
