@@ -438,6 +438,10 @@ def _file_report(args, command):
 def _dispatch(args):
     if args.bound is not None and args.bound < 0:
         raise _UsageError("--bound requires a nonnegative integer")
+    if getattr(args, "length", None) is not None and args.length < 0:
+        raise _UsageError("--len requires a nonnegative integer")
+    if args.trials is not None and args.trials < 1:
+        raise _UsageError("--trials requires a positive integer")
     command = COMMANDS[args.command]
     if command.over is None:
         report = command.compute(args)

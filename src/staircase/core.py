@@ -267,10 +267,12 @@ class Poly:
         return max(sum(e) for e, _ in self.terms)
 
     def ecart(self) -> int:
-        """Total-degree spread between the top and the initial exponent."""
+        """Weighted-length spread between the top and the initial exponent."""
         if not self.terms:
             raise ValueError("the zero polynomial has no ecart")
-        return self.max_total_degree() - sum(self.terms[0][0])
+        length = self.ring.order.length
+        # Terms ascend length-first, so the last term has the largest length.
+        return length(self.terms[-1][0]) - length(self.terms[0][0])
 
     # ------------------------------------------------------------------
     # arithmetic

@@ -7,9 +7,10 @@ initial term, to pick among the applicable reducers one of minimal ecart
 (top degree minus initial degree, measured in the order's weights), and to
 throw the current intermediate result into the reducer pool whenever the
 chosen reducer's ecart exceeds its own. Each such self-reduction multiplies
-the input by a unit of the local ring, which is tracked exactly. For
-polynomial input the procedure terminates; a configurable pool ceiling turns
-pathological blowups into a clean resource error instead of a hang.
+the input by a unit of the local ring, which the trace rebuilds exactly from
+the recorded steps on first access. For polynomial input the procedure
+terminates; a configurable pool ceiling turns pathological blowups into a
+clean resource error instead of a hang.
 
 The Buchberger-style completion processes s-pairs in ascending lcm order and
 skips pairs with coprime initial exponents; both are sound for these orders.
@@ -25,6 +26,7 @@ import heapq
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .core import (
     Exponent, Poly, Ring, exp_add, exp_divides, exp_lcm, exp_sub, resolve_ring,
@@ -84,20 +86,40 @@ class MoraStep:
 class MoraTrace:
     """Reduction log: one entry per cancelled initial term.
 
-    `unit` is the unit u of the local ring with u*f - remainder in the ideal
-    generated by the reducers; it stays 1 unless intermediate results were
-    used as reducers.
+    `pooled_at[k]` is the index of the step at which the intermediate result
+    p_k joined the reducer pool. `unit` is the unit u of the local ring with
+    u*f - remainder in the ideal generated by the reducers; it stays 1 unless
+    intermediate results were used as reducers, and it is rebuilt from the
+    recorded steps on first access.
     """
 
+    ring: Ring
     steps: tuple[MoraStep, ...]
-    unit: Poly
-    pool_added: int
+    pooled_at: tuple[int, ...]
 
-    def format(self) -> str:
-        lines = [f"pool additions: {self.pool_added}", f"unit: {self.unit}"]
-        for i, s in enumerate(self.steps):
-            lines.append(f"step {i}: reducer {s.reducer} shift {s.shift} coeff {s.coeff}")
-        return "\n".join(lines)
+    @property
+    def pool_added(self) -> int:
+        return len(self.pooled_at)
+
+    @cached_property
+    def unit(self) -> Poly:
+        # u_0 = 1, and step i by p_k sets u_{i+1} = u_i - x^shift*coeff*u_j with
+        # j = pooled_at[k], since p_k is u_j*f modulo the input reducers. Only
+        # the u_j some pool entry needs are kept. Initial exponents grow
+        # strictly along a reduction chain, so a pooled intermediate always
+        # divides with a nonzero shift and the constant term of the unit
+        # survives.
+        joined = {f"p{k}": j for k, j in enumerate(self.pooled_at)}
+        kept = dict.fromkeys(self.pooled_at)
+        unit = self.ring.constant(1)
+        for i, step in enumerate(self.steps):
+            if i in kept:
+                kept[i] = unit
+            if step.reducer in joined:
+                assert any(step.shift), "pooled reducer used with trivial shift"
+                monomial = Poly.from_terms(self.ring, [(step.shift, step.coeff)])
+                unit = unit - monomial * kept[joined[step.reducer]]
+        return unit
 
 
 @dataclass(frozen=True)
@@ -107,15 +129,7 @@ class _Reducer:
     lead: Fraction
     ecart: int
     label: str
-    unit_part: Poly | None
     index: int
-
-
-def _weighted_ecart(p: Poly) -> int:
-    # Terms are ascending in a length-first order, so the last term carries
-    # the maximal weighted length.
-    length = p.ring.order.length
-    return length(p.terms[-1][0]) - length(p.terms[0][0])
 
 
 def _drop_deep_terms(p: Poly, cap: int | None) -> Poly:
@@ -156,13 +170,12 @@ def mora_normal_form(
     key = order.key
     pool = [
         _Reducer(g, g.initial_exponent(), g.initial_coefficient(),
-                 _weighted_ecart(g), f"r{i}", None, i)
+                 g.ecart(), f"r{i}", i)
         for i, g in enumerate(reducers)
     ]
     h = _drop_deep_terms(f, length_cap)
-    unit = ring.constant(1)
     steps: list[MoraStep] = []
-    added = 0
+    pooled_at: list[int] = []
     while not h.is_zero:
         hexp = h.initial_exponent()
         chosen = None
@@ -174,29 +187,23 @@ def mora_normal_form(
                     chosen, chosen_rank = entry, rank
         if chosen is None:
             break
-        h_ecart = _weighted_ecart(h)
+        h_ecart = h.ecart()
         if chosen.ecart > h_ecart:
             if len(pool) >= ceiling:
                 raise PoolLimitExceeded(ceiling)
             pool.append(
                 _Reducer(h, hexp, h.initial_coefficient(), h_ecart,
-                         f"p{added}", unit, len(pool))
+                         f"p{len(pooled_at)}", len(pool))
             )
-            added += 1
+            pooled_at.append(len(steps))
         shift = exp_sub(hexp, chosen.inexp)
         coeff = h.initial_coefficient() / chosen.lead
         h = _drop_deep_terms(h._sub_shifted(coeff, shift, chosen.poly), length_cap)
-        if chosen.unit_part is not None:
-            # Initial exponents grow strictly along a reduction chain, so a
-            # pooled intermediate always divides with a nonzero shift and the
-            # constant term of the unit survives.
-            assert any(shift), "pooled reducer used with trivial shift"
-            unit = unit - Poly.from_terms(ring, [(shift, coeff)]) * chosen.unit_part
         steps.append(MoraStep(chosen.label, shift, coeff))
     assert h.is_zero or all(
         not exp_divides(entry.inexp, h.initial_exponent()) for entry in pool
     )
-    return h, MoraTrace(tuple(steps), unit, added)
+    return h, MoraTrace(ring, tuple(steps), tuple(pooled_at))
 
 
 @dataclass(frozen=True)
@@ -218,20 +225,6 @@ class SBasis:
     basis: tuple[Poly, ...]
     diagram: Diagram
     trace: tuple[SPairRecord, ...]
-
-    def format_trace(self) -> str:
-        lines = []
-        for r in self.trace:
-            if r.skipped_coprime:
-                lines.append(f"pair ({r.i},{r.j}) lcm {r.lcm}: skipped, coprime leads")
-            elif r.reduced_to_zero:
-                lines.append(f"pair ({r.i},{r.j}) lcm {r.lcm}: 0 in {r.steps} steps")
-            else:
-                lines.append(
-                    f"pair ({r.i},{r.j}) lcm {r.lcm}: new element "
-                    f"b{r.added_index} after {r.steps} steps"
-                )
-        return "\n".join(lines)
 
 
 def _spoly(f: Poly, g: Poly) -> Poly:

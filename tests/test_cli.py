@@ -271,6 +271,8 @@ def test_usage_errors_with_file(capsys, files):
         ["vertices", files["main"], "--order", "1,x"],
         ["vertices", files["main"], "--order", "0,1"],
         ["hilbert", files["main"], "--bound", "-3"],
+        ["sweep", files["main"], "--mu", "5..6", "--len", "-3"],
+        ["regseq", files["main"], "--trials", "0"],
     ):
         code, _, err = run(capsys, argv)
         assert code == 1

@@ -87,6 +87,9 @@ def test_initial_data():
     assert f.ecart() == 1
     with pytest.raises(ValueError):
         RING.zero().initial_exponent()
+    weighted = Ring(("x", "y"), order=Order((2, 1)))
+    g = weighted.variable("x") + weighted.variable("y") ** 3
+    assert g.ecart() == 1
 
 
 def test_jet_pinned():

@@ -38,6 +38,16 @@ def test_mora_pinned_unit_example():
     assert trace2.unit == RING.constant(1) - X
 
 
+def test_mora_pinned_unit_along_a_pool_chain():
+    # p1 joins the pool after p0 has moved the unit off 1, so its own unit
+    # factor is that intermediate unit, not 1 and not the final one.
+    nf, trace = mora_normal_form(-X * Y - X ** 2 * Y, [-1 - 4 * X ** 2])
+    assert nf.is_zero
+    assert trace.unit == 1 + 4 * X ** 2
+    assert trace.pool_added == 2
+    assert [step.reducer for step in trace.steps] == ["r0", "p0", "p0", "p1"]
+
+
 def test_mora_validates_inputs():
     with pytest.raises(ValueError):
         mora_normal_form(X, [RING.zero()])
