@@ -172,7 +172,10 @@ def _show_vertices(entry):
 
 def _run_hilbert(args, ring, gens):
     top = args.bound if args.bound is not None else _DEFAULT_SLICE_BOUND
-    d = diagram_of_ideal(gens, ring=ring)
+    # Exponents of total degree <= top have weighted length below this cap,
+    # and the capped diagram is exact there.
+    cap = top * max(ring.order.weights) + 1
+    d = standard_basis(gens, ring=ring, length_cap=cap).diagram
     return {"bound": top, "values": d.hilbert_vector(top)}
 
 

@@ -133,6 +133,14 @@ def truncated_quotient_dim(gens, bound: int, *, ring: Ring | None = None) -> int
 
 @dataclass(frozen=True)
 class CrossCheckReport:
+    """Both engines' windows below `bound` and the first place they differ.
+
+    `oracle_vertices` and `basis_vertices` are the vertices of weighted
+    length below `bound` found by the oracle and by the capped Mora
+    completion; vertices of the exact staircase at or beyond the bound are
+    outside both windows.
+    """
+
     agree: bool
     first_difference: Exponent | None
     bound: int
@@ -143,12 +151,15 @@ class CrossCheckReport:
 def oracle_cross_check(gens, bound: int, *, ring: Ring | None = None) -> CrossCheckReport:
     """Compare the oracle window against the standard basis diagram.
 
+    Both engines compute only inside the window of weighted length below
+    `bound`: the standard basis side runs Mora with `length_cap=bound`,
+    whose diagram is exact there, and the oracle code is independent of it.
     Any disagreement on an exponent inside the window indicates a defect in
     one of the two engines; the first offender in order position is reported.
     """
     gens, ring = resolve_ring(gens, ring)
     window = truncated_diagram(gens, bound, ring=ring)
-    exact = standard_basis(gens, ring=ring).diagram
+    exact = standard_basis(gens, ring=ring, length_cap=bound).diagram
     first = None
     for e in exponents_below(ring.order, bound):
         if window.diagram.contains(e) != exact.contains(e):

@@ -153,10 +153,13 @@ def mora_normal_form(
     exponent is divisible by no reducer's initial exponent; in all cases
     trace.unit * f is congruent to the remainder modulo the reducer ideal.
 
-    A length_cap deletes every term of weighted length at least the cap as
-    soon as it appears. The caller must guarantee that such terms already lie
-    in the reducer ideal; the completion loop certifies this from the partial
-    staircase before passing a cap.
+    A length_cap B deletes every term of weighted length at least B as soon
+    as it appears, so the normal form is computed modulo J_B, the ideal of
+    monomials of length >= B. Either the caller guarantees that J_B already
+    lies in the reducer ideal (the completion loop certifies this from the
+    partial staircase), and the result is exact, or the caller computes in
+    the quotient by J_B on purpose, as `standard_basis` does when given a
+    length_cap.
     """
     reducers = list(reducers)
     ring = f.ring
@@ -208,9 +211,6 @@ def mora_normal_form(
 
 @dataclass(frozen=True)
 class SPairRecord:
-    i: int
-    j: int
-    lcm: Exponent
     steps: int
     reduced_to_zero: bool
     added_index: int | None
@@ -236,17 +236,30 @@ def _spoly(f: Poly, g: Poly) -> Poly:
 
 
 def standard_basis(
-    gens, *, ring: Ring | None = None, pool_ceiling: int | None = None
+    gens, *, ring: Ring | None = None, pool_ceiling: int | None = None,
+    length_cap: int | None = None,
 ) -> SBasis:
     """Complete the generators to a standard basis and read off the staircase.
 
-    The returned diagram is exactly the set of initial exponents of the ideal
-    the generators span. Zero generators are dropped; basis elements are
-    content normalized; s-pairs are processed ascending by lcm so reruns are
+    Without a length_cap the returned diagram is exactly the set of initial
+    exponents of the ideal the generators span. With a length_cap B the
+    result is a standard basis of I + J_B, where J_B is the ideal of
+    monomials of weighted length >= B; for a length-first order in(I + J_B)
+    and in(I) agree below length B, so the diagram is exact below the cap,
+    and every reduction runs in the finite window below B and terminates.
+    The basis omits the monomials of J_B, which enter only through the cap,
+    so every vertex of that diagram is shorter than B. Zero generators are
+    dropped, also those that the cap empties; basis elements are content
+    normalized; s-pairs are processed ascending by lcm so reruns are
     reproducible.
     """
     gens, ring = resolve_ring(gens, ring)
-    basis: list[Poly] = [g.content_normalized() for g in gens if not g.is_zero]
+    if length_cap is not None and length_cap < 1:
+        raise ValueError("the length cap must be at least 1")
+    basis: list[Poly] = [
+        g.content_normalized()
+        for g in (_drop_deep_terms(f, length_cap) for f in gens)
+        if not g.is_zero]
     inexps: list[Exponent] = [b.initial_exponent() for b in basis]
     records: list[SPairRecord] = []
     order_key = ring.order.key
@@ -259,32 +272,38 @@ def standard_basis(
 
     for j in range(len(basis)):
         push_pairs(j)
-    # With a finite complement, a monomial of length >= cap reduces forever
-    # inside the staircase, so it converges to an ideal element by Krull
-    # intersection and dividers may delete it exactly.
-    cap = covering_length(inexps, ring.order)
+
+    def window_cap() -> int | None:
+        # With a finite complement, a monomial of length >= the covering
+        # length reduces forever inside the staircase, so it converges to an
+        # ideal element by Krull intersection and dividers may delete it
+        # exactly. The caller's length_cap deletes J_B on purpose.
+        caps = (covering_length(inexps, ring.order), length_cap)
+        return min((c for c in caps if c is not None), default=None)
+
+    cap = window_cap()
     while heap:
         _, i, j = heapq.heappop(heap)
         lcm = exp_lcm(inexps[i], inexps[j])
         if lcm == exp_add(inexps[i], inexps[j]):
-            records.append(SPairRecord(i, j, lcm, 0, True, None, True))
+            records.append(SPairRecord(0, True, None, True))
             continue
         s = _spoly(basis[i], basis[j])
         if s.is_zero:
-            records.append(SPairRecord(i, j, lcm, 0, True, None))
+            records.append(SPairRecord(0, True, None))
             continue
         remainder, trace = mora_normal_form(
             s, basis, pool_ceiling=pool_ceiling, length_cap=cap)
         if remainder.is_zero:
-            records.append(SPairRecord(i, j, lcm, len(trace.steps), True, None))
+            records.append(SPairRecord(len(trace.steps), True, None))
             continue
         remainder = remainder.content_normalized()
         basis.append(remainder)
         inexps.append(remainder.initial_exponent())
         new_index = len(basis) - 1
-        records.append(SPairRecord(i, j, lcm, len(trace.steps), False, new_index))
+        records.append(SPairRecord(len(trace.steps), False, new_index))
         push_pairs(new_index)
-        cap = covering_length(inexps, ring.order)
+        cap = window_cap()
     diagram = Diagram.from_exponents(inexps, arity=ring.arity)
     return SBasis(gens, tuple(basis), diagram, tuple(records))
 

@@ -7,6 +7,7 @@ from textwrap import dedent
 import jsonschema
 import pytest
 
+from staircase import Order, Ring, diagram_of_ideal
 from staircase.cli import REPORT_SCHEMA, main
 
 MAIN_FILE = dedent("""\
@@ -153,6 +154,35 @@ def test_hilbert_pinned(capsys, files):
     by_name = {entry["name"]: entry for entry in report["results"]}
     assert by_name["M"]["values"] == [1, 3, 4, 5, 5]
     assert by_name["M"]["bound"] == 4
+
+
+def test_hilbert_computes_only_inside_its_window(capsys, tmp_path):
+    # The uncapped completion of this ideal does not finish in 10 s; the
+    # counts up to total degree 8 need only lengths below 9.
+    path = tmp_path / "r3_26.txt"
+    path.write_text(dedent("""\
+        ring x y z
+        ideal r3_26
+          -4*x*z + 2*x^4*y
+          x*z + y^2*z + 4*x^2*z + 4*x^4*z
+          -4*z - 3*y*z^2 + 2*x*y^2
+    """))
+    code, out, _ = run(capsys, ["hilbert", str(path), "--bound", "8"])
+    assert code == 0
+    assert "ideal r3_26: H(0..8) = 1 3 6 10 14 17 19 21 23\n" in out
+
+
+def test_hilbert_window_under_weights(capsys, files):
+    # Total degree 6 reaches weighted length 18 under weights (3,1).
+    _, report = run_json(capsys, ["hilbert", files["main"], "--bound", "6",
+                                  "--order", "3,1"])
+    ring = Ring(("x", "y"), order=Order((3, 1)))
+    x, y = ring.variable("x"), ring.variable("y")
+    exact = {"I": diagram_of_ideal([x ** 3 * y + x * y ** 4 - x ** 3 * y ** 2,
+                                    x ** 2 * y ** 3 + y ** 6 - x ** 2 * y ** 4]),
+             "M": diagram_of_ideal([x ** 2 + y ** 3, x * y])}
+    for entry in report["results"]:
+        assert entry["values"] == exact[entry["name"]].hilbert_vector(6)
 
 
 def test_regseq_axis_certificate_only_with_bound(capsys, files):

@@ -11,8 +11,10 @@ from staircase import (
     diagram_of_ideal,
     exponents_below,
     oracle_cross_check,
+    parse_poly,
     truncated_diagram,
     truncated_quotient_dim,
+    truncated_series_generators,
 )
 from helpers import random_ideal, random_ring
 
@@ -89,3 +91,47 @@ def test_cross_check_agrees():
         report = oracle_cross_check(gens, 7)
         assert report.agree
         assert report.first_difference is None
+
+
+# Cases of the random-ideals benchmark corpus (corpus seed 11) whose uncapped
+# completion ran past any deadline; the vertices are the oracle's window.
+FORMER_HANGS = [
+    ("r3_15", (2, 1, 3), 8,
+     ["2*x^2 + 3*x*y^2*z^2", "-4*y - 2*z + 3*x*z + 3*x^3*z",
+      "4*x + 2*x*y^3 - 3*x^2*y^2 - 4*x*y*z^3"],
+     ((0, 1, 0), (1, 0, 0))),
+    ("r3_26", (1, 1, 1), 8,
+     ["-4*x*z + 2*x^4*y", "x*z + y^2*z + 4*x^2*z + 4*x^4*z",
+      "-4*z - 3*y*z^2 + 2*x*y^2"],
+     ((0, 0, 1), (2, 2, 0), (1, 4, 0), (5, 1, 0))),
+    ("r4_20", (1, 1, 1, 1), 6,
+     ["3*y + 2*z^2*w", "4*y*z^2*w + 4*y^2*z^2 + 4*x*z*w^3 - 3*x^2*z*w^2",
+      "-3*w^2 - 3*x*y - 4*x^2*y*z*w"],
+     ((0, 1, 0, 0), (0, 0, 0, 2))),
+    ("r4_25", (3, 3, 2, 1), 6,
+     ["-3*y - 4*x*w^2 - x*y*w - 3*x*y^2*w^2",
+      "3*z + 4*y*z*w^2 + x^2*y*z^2",
+      "-y*z*w - 4*x*z*w + 3*x*y*w^3 - y^2*z*w^2", "4*x*z*w^2"],
+     ((0, 0, 1, 0), (0, 1, 0, 0))),
+]
+
+
+@pytest.mark.parametrize("name,weights,bound,texts,vertices", FORMER_HANGS,
+                         ids=[case[0] for case in FORMER_HANGS])
+def test_cross_check_stays_inside_its_window(name, weights, bound, texts,
+                                             vertices):
+    ring = Ring(tuple("xyzw")[:len(weights)], order=Order(weights))
+    report = oracle_cross_check([parse_poly(t, ring) for t in texts], bound)
+    assert report.agree
+    assert report.oracle_vertices == vertices
+    assert report.basis_vertices == vertices
+
+
+def test_cross_check_reports_only_window_vertices():
+    gens = truncated_series_generators(RING, depth=28)
+    report = oracle_cross_check(gens, 12)
+    assert report.agree
+    assert report.basis_vertices == ((3, 1), (2, 3))
+    assert report.oracle_vertices == report.basis_vertices
+    # The exact staircase has further vertices beyond the window.
+    assert diagram_of_ideal(gens).vertices == ((3, 1), (2, 3), (1, 29), (0, 32))

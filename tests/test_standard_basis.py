@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from staircase import (
     Diagram,
+    Order,
     PoolLimitExceeded,
     Poly,
     Ring,
@@ -16,8 +18,10 @@ from staircase import (
     exp_divides,
     exp_lcm,
     exp_sub,
+    exponents_below,
     mora_normal_form,
     standard_basis,
+    truncated_diagram,
     unit_cleared_generators,
 )
 from helpers import random_ideal, random_poly, random_ring, random_tail
@@ -190,3 +194,51 @@ def test_pool_ceiling_explicit_env_and_default(monkeypatch):
     monkeypatch.setenv("STAIRCASE_POOL_CEILING", "not a number")
     with pytest.raises(ValueError):
         standard_basis(gens)
+
+
+def test_length_cap_validation_and_deep_generators():
+    with pytest.raises(ValueError):
+        standard_basis([X], length_cap=0)
+    # Terms at or beyond the cap go before normalization, and a generator
+    # left with none is dropped.
+    sb = standard_basis([2 * X ** 2 + 4 * X ** 5, Y ** 4], length_cap=4)
+    assert sb.basis == (X ** 2,)
+    assert sb.diagram.vertices == ((2, 0),)
+
+
+def test_capped_and_uncapped_engines_match_the_oracle():
+    # The corpus of acceptance criterion 04, whose cross-check runs capped.
+    rng = random.Random(2024)
+    for _ in range(200):
+        ring = random_ring(rng)
+        gens = random_ideal(rng, ring)
+        window = truncated_diagram(gens, 8).diagram
+        exact = diagram_of_ideal(gens)
+        capped = standard_basis(gens, length_cap=8).diagram
+        for e in exponents_below(ring.order, 8):
+            assert exact.contains(e) == window.contains(e), (gens, e)
+            assert capped.contains(e) == window.contains(e), (gens, e)
+
+
+@st.composite
+def weighted_ideals(draw):
+    arity = draw(st.integers(1, 3))
+    ring = Ring(tuple("xyz")[:arity],
+                order=Order(tuple(draw(st.integers(1, 3)) for _ in range(arity))))
+    exponent = st.tuples(*[st.integers(0, 3)] * arity)
+    coeff = st.integers(-3, 3).filter(bool)
+    gens = draw(st.lists(
+        st.lists(st.tuples(exponent, coeff), min_size=1, max_size=3)
+        .map(lambda pairs: Poly.from_terms(ring, pairs)), min_size=1, max_size=3))
+    return ring, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_ideals(), st.integers(1, 7), st.integers(1, 3))
+def test_capped_window_equals_the_oracle_window(ideal, bound, extra):
+    ring, gens = ideal
+    capped = standard_basis(gens, ring=ring, length_cap=bound).diagram
+    assert capped == truncated_diagram(gens, bound, ring=ring).diagram
+    wider = standard_basis(gens, ring=ring, length_cap=bound + extra).diagram
+    for e in exponents_below(ring.order, bound):
+        assert wider.contains(e) == capped.contains(e)
