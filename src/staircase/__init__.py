@@ -12,7 +12,6 @@ from .core import (
     Order,
     Poly,
     Ring,
-    Term,
     determinant,
     exp_add,
     exp_divides,
@@ -54,7 +53,7 @@ from .determinacy import (
     regseq_axis_certificate,
     regular_sequence,
 )
-from .diagram import Diagram, DiagramSlice, exponents_of_length, exponents_upto
+from .diagram import Diagram, exponents_upto
 from .jet_oracle import (
     CrossCheckReport,
     TruncationBasis,

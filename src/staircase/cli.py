@@ -269,7 +269,7 @@ def _run_sweep(args, ring, gens):
             "window_vertices": _points(row.window_vertices),
             "equal": row.equal,
             "equal_upto_bound": row.equal_upto_bound,
-            "contains_base": row.window_contains_base,
+            "contains_base": row.contains_base,
             "dimension": row.quotient_dimension,
             "hilbert": list(row.hilbert),
             "new_points": _points(row.new_on_window),

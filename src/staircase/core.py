@@ -14,13 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "Exponent",
     "Order",
     "Ring",
-    "Term",
     "Poly",
     "CoordChange",
     "determinant",
@@ -106,15 +105,6 @@ class Order:
     def key(self, exp: Exponent):
         return (self.length(exp), *exp)
 
-    def compare(self, a: Exponent, b: Exponent) -> int:
-        """-1, 0 or 1 according to the order position of a relative to b."""
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return -1
-        if ka > kb:
-            return 1
-        return 0
-
 
 @dataclass(frozen=True)
 class Ring:
@@ -180,11 +170,6 @@ class Ring:
         return self.monomial(exp)
 
 
-class Term(NamedTuple):
-    coefficient: Fraction
-    exponent: Exponent
-
-
 def _format_coeff(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
@@ -228,16 +213,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self) -> tuple[Exponent, ...]:
-        return tuple(e for e, _ in self.terms)
-
-    def coefficient(self, exp: Exponent) -> Fraction:
-        exp = tuple(exp)
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        return _ZERO
-
     @property
     def constant_term(self) -> Fraction:
         if self.terms and not any(self.terms[0][0]):
@@ -254,17 +229,6 @@ class Poly:
         if not self.terms:
             raise ValueError("the zero polynomial has no initial coefficient")
         return self.terms[0][1]
-
-    def initial_term(self) -> Term:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no initial term")
-        exp, c = self.terms[0]
-        return Term(c, exp)
-
-    def max_total_degree(self) -> int:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no degree")
-        return max(sum(e) for e, _ in self.terms)
 
     def ecart(self) -> int:
         """Weighted-length spread between the top and the initial exponent."""

@@ -147,8 +147,7 @@ def jet_ideal(gens, mu: int) -> list[Poly]:
     return out
 
 
-def regular_sequence(gens, *, ring: Ring | None = None,
-                     pool_ceiling: int | None = None) -> Verdict:
+def regular_sequence(gens, *, ring: Ring | None = None) -> Verdict:
     """Decide regularity of the sequence by the exact quotient dimension.
 
     A sequence of s elements is regular exactly when the quotient has
@@ -164,8 +163,7 @@ def regular_sequence(gens, *, ring: Ring | None = None,
             "generators": s,
             "ambient_dimension": m,
         })
-    d = diagram_of_ideal([g for g in gens if not g.is_zero],
-                         ring=ring, pool_ceiling=pool_ceiling)
+    d = diagram_of_ideal([g for g in gens if not g.is_zero], ring=ring)
     if d.contains((0,) * m):
         return Verdict.no({"reason": "unit ideal", "vertices": d.to_lists()})
     dim = d.quotient_dimension()
@@ -232,7 +230,7 @@ def regseq_axis_certificate(gens, *, trials: int = 8, seed: int = 0,
         change = (CoordChange.identity(m) if trial == 0
                   else random_coord_change(ring, rng, entry_bound))
         moved = [g.apply_coord_change(change) for g in nonzero]
-        window = truncated_diagram(moved, bound + 1, ring=ring).diagram
+        window = truncated_diagram(moved, bound + 1, ring=ring)
         axes: list[Exponent] = []
         for axis in range(s):
             hit = None
@@ -301,14 +299,14 @@ def fibre_ideal(m: MapSpec) -> list[Poly]:
     return out
 
 
-def flat_ci(m: MapSpec, *, pool_ceiling: int | None = None) -> Verdict:
+def flat_ci(m: MapSpec) -> Verdict:
     """Flatness of the germ via the fibre-dimension criterion.
 
     Requires the relations to be a certified regular sequence (the source is
     then a complete intersection of dimension m - s); the germ is flat at the
     origin exactly when the fibre ideal has quotient dimension (m - s) - n.
     """
-    source = regular_sequence(m.relations, ring=m.ring, pool_ceiling=pool_ceiling)
+    source = regular_sequence(m.relations, ring=m.ring)
     if not source.is_yes:
         raise SourceNotCompleteIntersection(
             "the relations are not a certified regular sequence, so the "
@@ -320,7 +318,7 @@ def flat_ci(m: MapSpec, *, pool_ceiling: int | None = None) -> Verdict:
             "reason": "target dimension exceeds the source dimension",
             "expected_fibre_dimension": expected,
         })
-    d = diagram_of_ideal(fibre_ideal(m), ring=m.ring, pool_ceiling=pool_ceiling)
+    d = diagram_of_ideal(fibre_ideal(m), ring=m.ring)
     certificate = {
         "fibre_dimension": d.quotient_dimension(),
         "expected_fibre_dimension": expected,
@@ -331,9 +329,9 @@ def flat_ci(m: MapSpec, *, pool_ceiling: int | None = None) -> Verdict:
     return Verdict.no(certificate)
 
 
-def milnor_mu0(m: MapSpec, *, pool_ceiling: int | None = None) -> int | None:
+def milnor_mu0(m: MapSpec) -> int | None:
     """Length of the special fibre, None when it is not finite."""
-    d = diagram_of_ideal(fibre_ideal(m), ring=m.ring, pool_ceiling=pool_ceiling)
+    d = diagram_of_ideal(fibre_ideal(m), ring=m.ring)
     k = d.power_of_maximal()
     if k is None:
         return None
@@ -341,8 +339,7 @@ def milnor_mu0(m: MapSpec, *, pool_ceiling: int | None = None) -> int | None:
 
 
 def determinacy_bound(m: MapSpec, *, trials: int = 8, seed: int = 0,
-                      bound: int = 12,
-                      pool_ceiling: int | None = None) -> tuple[int, str]:
+                      bound: int = 12) -> tuple[int, str]:
     """A certified jet order beyond which perturbations cannot matter.
 
     Finite fibre: the fibre length mu0 is returned with scope "full", meaning
@@ -352,10 +349,10 @@ def determinacy_bound(m: MapSpec, *, trials: int = 8, seed: int = 0,
     with scope "forward-only": perturbing beyond that order preserves
     flatness, with no converse claimed.
     """
-    mu0 = milnor_mu0(m, pool_ceiling=pool_ceiling)
+    mu0 = milnor_mu0(m)
     if mu0 is not None:
         return mu0, "full"
-    verdict = flat_ci(m, pool_ceiling=pool_ceiling)
+    verdict = flat_ci(m)
     if verdict.is_yes:
         axis = regseq_axis_certificate(
             fibre_ideal(m), trials=trials, seed=seed, bound=bound, ring=m.ring)
@@ -383,8 +380,7 @@ class FlatnessReport:
     rows: tuple[FlatnessRow, ...]
 
 
-def jet_flatness_equivalence(m: MapSpec, mu_range,
-                             *, pool_ceiling: int | None = None) -> FlatnessReport:
+def jet_flatness_equivalence(m: MapSpec, mu_range) -> FlatnessReport:
     """Flatness verdicts for jet-truncated germs across a range of orders.
 
     Two variants per order: jets of the components over the original source,
@@ -392,17 +388,15 @@ def jet_flatness_equivalence(m: MapSpec, mu_range,
     destroy the complete intersection precondition for small orders; such
     rows carry a note instead of a verdict.
     """
-    baseline = flat_ci(m, pool_ceiling=pool_ceiling)
+    baseline = flat_ci(m)
     rows: list[FlatnessRow] = []
     for mu in mu_range:
         comps = tuple(c.jet(mu) for c in m.components)
-        fixed = flat_ci(MapSpec(m.ring, m.relations, comps),
-                        pool_ceiling=pool_ceiling)
+        fixed = flat_ci(MapSpec(m.ring, m.relations, comps))
         rels = tuple(h.jet(mu) for h in m.relations)
         note = None
         try:
-            truncated = flat_ci(MapSpec(m.ring, rels, comps),
-                                pool_ceiling=pool_ceiling)
+            truncated = flat_ci(MapSpec(m.ring, rels, comps))
         except SourceNotCompleteIntersection as exc:
             truncated = None
             note = str(exc)
@@ -410,22 +404,20 @@ def jet_flatness_equivalence(m: MapSpec, mu_range,
     return FlatnessReport(baseline, tuple(rows))
 
 
-def diagram_determinacy_check(m: MapSpec, psi,
-                              *, pool_ceiling: int | None = None) -> bool:
+def diagram_determinacy_check(m: MapSpec, psi) -> bool:
     """Fibre diagrams agree for a perturbation matching the map to order mu0."""
     psi = tuple(psi)
     if len(psi) != m.target_dim:
         raise ValueError("the perturbation must have the same number of components")
-    mu0 = milnor_mu0(m, pool_ceiling=pool_ceiling)
+    mu0 = milnor_mu0(m)
     if mu0 is None:
         raise ValueError("the fibre is not finite, no diagram bound applies")
     for p, q in zip(m.components, psi):
         if p.jet(mu0) != q.jet(mu0):
             raise ValueError(f"perturbation differs from the map below order {mu0}")
     other = MapSpec(m.ring, m.relations, psi)
-    mine = diagram_of_ideal(fibre_ideal(m), ring=m.ring, pool_ceiling=pool_ceiling)
-    theirs = diagram_of_ideal(fibre_ideal(other), ring=m.ring,
-                              pool_ceiling=pool_ceiling)
+    mine = diagram_of_ideal(fibre_ideal(m), ring=m.ring)
+    theirs = diagram_of_ideal(fibre_ideal(other), ring=m.ring)
     return mine == theirs
 
 
@@ -436,7 +428,7 @@ class SweepRow:
     window_vertices: tuple[Exponent, ...]
     equal: bool
     equal_upto_bound: bool
-    window_contains_base: bool
+    contains_base: bool
     quotient_dimension: int
     hilbert: tuple[int, ...]
     new_on_window: tuple[Exponent, ...]
@@ -455,8 +447,7 @@ class SweepReport:
 
 
 def jet_sweep(gens, mu_min: int, mu_max: int, *, length_bound: int | None = None,
-              ring: Ring | None = None,
-              pool_ceiling: int | None = None) -> SweepReport:
+              ring: Ring | None = None) -> SweepReport:
     """Compare the staircases of the jet ideals against the full ideal.
 
     Each row carries the exact staircase of the ideal of mu-jets, the oracle
@@ -470,29 +461,32 @@ def jet_sweep(gens, mu_min: int, mu_max: int, *, length_bound: int | None = None
         raise ValueError("empty jet range")
     if length_bound is None:
         length_bound = mu_max + 3
-    base = diagram_of_ideal(gens, ring=ring, pool_ceiling=pool_ceiling)
+    base = diagram_of_ideal(gens, ring=ring)
+    in_base = [(e, base.contains(e))
+               for e in exponents_upto(ring.arity, length_bound)]
     rows: list[SweepRow] = []
-    window_exps = exponents_upto(ring.arity, length_bound)
     for mu in range(mu_min, mu_max + 1):
         jets = jet_ideal(gens, mu)
-        exact = diagram_of_ideal(jets, ring=ring, pool_ceiling=pool_ceiling)
+        exact = diagram_of_ideal(jets, ring=ring)
         window = truncated_diagram(jets, length_bound + 1, ring=ring)
-        gained = [e for e in window_exps
-                  if exact.contains(e) and not base.contains(e)]
-        new_min = (Diagram.from_exponents(gained, arity=ring.arity).vertices
-                   if gained else ())
+        # A base point of total degree <= L lies above a base vertex of total
+        # degree <= L, so losing no point means containing those vertices.
+        gained: list[Exponent] = []
+        lost: list[Exponent] = []
+        for e, b in in_base:
+            if exact.contains(e) != b:
+                (lost if b else gained).append(e)
         rows.append(SweepRow(
             mu=mu,
             vertices=exact.vertices,
-            window_vertices=window.diagram.vertices,
+            window_vertices=window.vertices,
             equal=exact == base,
-            equal_upto_bound=exact.equal_upto(base, length_bound),
-            window_contains_base=all(
-                exact.contains(v) for v in base.vertices
-                if total_degree(v) <= length_bound),
+            equal_upto_bound=not (gained or lost),
+            contains_base=not lost,
             quotient_dimension=exact.quotient_dimension(),
             hilbert=tuple(exact.hilbert_vector(length_bound)),
-            new_on_window=new_min,
+            new_on_window=Diagram.from_exponents(
+                gained, arity=ring.arity).vertices,
         ))
     stabilized_at = None
     for row in reversed(rows):
@@ -532,22 +526,21 @@ class DimProbeReport:
     all_lower_ok: bool
 
 
-def dimension_semicontinuity_probe(gens, mu_range, *, ring: Ring | None = None,
-                                   pool_ceiling: int | None = None) -> DimProbeReport:
+def dimension_semicontinuity_probe(gens, mu_range, *,
+                                   ring: Ring | None = None) -> DimProbeReport:
     """Track the quotient dimension of jet ideals against the full ideal.
 
     The dimension of every jet ideal is bounded below by m - s; the report
     flags the first order whose dimension matches the full ideal's.
     """
     gens, ring = resolve_ring(gens, ring)
-    full = diagram_of_ideal(gens, ring=ring, pool_ceiling=pool_ceiling)
+    full = diagram_of_ideal(gens, ring=ring)
     dim = full.quotient_dimension()
     lower = ring.arity - len(gens)
     rows: list[DimProbeRow] = []
     first = None
     for mu in mu_range:
-        d = diagram_of_ideal(jet_ideal(gens, mu), ring=ring,
-                             pool_ceiling=pool_ceiling)
+        d = diagram_of_ideal(jet_ideal(gens, mu), ring=ring)
         dmu = d.quotient_dimension()
         rows.append(DimProbeRow(mu, dmu, dmu >= lower))
         if first is None and dmu == dim:
@@ -600,8 +593,8 @@ def _random_tail(rng: random.Random, ring: Ring, mu: int,
 
 
 def perturbation_test(gens, mu: int, *, samples: int = 20, seed: int = 0,
-                      property_name: str = "regseq", ring: Ring | None = None,
-                      pool_ceiling: int | None = None) -> PerturbationReport:
+                      property_name: str = "regseq",
+                      ring: Ring | None = None) -> PerturbationReport:
     """Re-evaluate a property after seeded perturbations of order above mu.
 
     Each sample adds to every generator a random polynomial supported in
@@ -616,10 +609,9 @@ def perturbation_test(gens, mu: int, *, samples: int = 20, seed: int = 0,
 
     def evaluate(current) -> VerdictKind:
         if property_name == "regseq":
-            return regular_sequence(current, ring=ring,
-                                    pool_ceiling=pool_ceiling).kind
+            return regular_sequence(current, ring=ring).kind
         germ = MapSpec(ring, (), tuple(current))
-        return flat_ci(germ, pool_ceiling=pool_ceiling).kind
+        return flat_ci(germ).kind
 
     baseline = evaluate(gens)
     rng = random.Random(seed)

@@ -10,16 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations, product
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .core import Exponent, Order, exp_divides, total_degree
 
 __all__ = [
     "Diagram",
-    "DiagramSlice",
     "covering_length",
     "exponents_below",
-    "exponents_of_length",
     "exponents_upto",
 ]
 
@@ -41,11 +39,6 @@ def exponents_below(order: Order, bound: int) -> list[Exponent]:
 def exponents_upto(arity: int, bound: int) -> list[Exponent]:
     """All exponents of total degree at most bound, ascending in the unit order."""
     return exponents_below(Order.unit(arity), bound + 1)
-
-
-def exponents_of_length(arity: int, n: int) -> Iterator[Exponent]:
-    """All exponents in N^arity of total degree exactly n."""
-    return (e for e in exponents_upto(arity, n) if total_degree(e) == n)
 
 
 def covering_length(exps: Iterable[Exponent], order: Order) -> int | None:
@@ -106,11 +99,13 @@ class Diagram:
                 raise ValueError("exponent arity does not match the requested one")
         elif arity is None:
             raise ValueError("an empty exponent set needs an explicit arity")
-        pts = set(pts)
-        minimal = [
-            p for p in pts if not any(q != p and exp_divides(q, p) for q in pts)
-        ]
-        return cls(arity, tuple(minimal))
+        # A proper divisor has smaller total degree, so it is met first, and a
+        # point is minimal unless a vertex kept before it divides it.
+        vertices: list[Exponent] = []
+        for p in sorted(set(pts), key=lambda p: (total_degree(p), p)):
+            if not any(exp_divides(v, p) for v in vertices):
+                vertices.append(p)
+        return cls(arity, tuple(vertices))
 
     @property
     def is_empty(self) -> bool:
@@ -177,17 +172,3 @@ class Diagram:
 
     def to_lists(self) -> list[list[int]]:
         return [list(v) for v in self.vertices]
-
-
-@dataclass(frozen=True)
-class DiagramSlice:
-    """A diagram certified only on the window of bounded length.
-
-    Membership answers are exact for exponents whose length (weighted by the
-    order that produced the slice) is at most `length_bound`; beyond the
-    window the staircase may have further vertices.
-    """
-
-    diagram: Diagram
-    length_bound: int
-    certified: bool = True

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import Exponent, Poly, Ring, exp_add, resolve_ring
-from .diagram import Diagram, DiagramSlice, exponents_below
+from .diagram import Diagram, exponents_below
 from .standard_basis import standard_basis
 
 __all__ = [
@@ -115,11 +115,15 @@ class TruncationBasis:
         return not self._eliminate(self.project(f))
 
 
-def truncated_diagram(gens, bound: int, *, ring: Ring | None = None) -> DiagramSlice:
-    """Window of the diagram of initial exponents below the length bound."""
+def truncated_diagram(gens, bound: int, *, ring: Ring | None = None) -> Diagram:
+    """Window of the diagram of initial exponents below the length bound.
+
+    Membership answers are exact for exponents whose length, weighted by the
+    ring's order, is below `bound`; beyond the window the staircase may have
+    further vertices.
+    """
     basis = TruncationBasis.build(gens, bound, ring=ring)
-    d = Diagram.from_exponents(basis.pivot_exponents(), arity=basis.ring.arity)
-    return DiagramSlice(d, bound - 1, True)
+    return Diagram.from_exponents(basis.pivot_exponents(), arity=basis.ring.arity)
 
 
 def truncated_quotient_dim(gens, bound: int, *, ring: Ring | None = None) -> int:
@@ -162,13 +166,13 @@ def oracle_cross_check(gens, bound: int, *, ring: Ring | None = None) -> CrossCh
     exact = standard_basis(gens, ring=ring, length_cap=bound).diagram
     first = None
     for e in exponents_below(ring.order, bound):
-        if window.diagram.contains(e) != exact.contains(e):
+        if window.contains(e) != exact.contains(e):
             first = e
             break
     return CrossCheckReport(
         agree=first is None,
         first_difference=first,
         bound=bound,
-        oracle_vertices=window.diagram.vertices,
+        oracle_vertices=window.vertices,
         basis_vertices=exact.vertices,
     )

@@ -308,8 +308,6 @@ def standard_basis(
     return SBasis(gens, tuple(basis), diagram, tuple(records))
 
 
-def diagram_of_ideal(
-    gens, *, ring: Ring | None = None, pool_ceiling: int | None = None
-) -> Diagram:
+def diagram_of_ideal(gens, *, ring: Ring | None = None) -> Diagram:
     """Exact diagram of initial exponents of the ideal the generators span."""
-    return standard_basis(gens, ring=ring, pool_ceiling=pool_ceiling).diagram
+    return standard_basis(gens, ring=ring).diagram

@@ -73,7 +73,7 @@ def test_criterion_01_new_vertex_in_every_jet_staircase(announce):
             exact = diagram_of_ideal(jets)
             window = truncated_diagram(jets, mu + 3)
             assert exact.contains((1, mu + 1))
-            assert window.diagram.contains((1, mu + 1))
+            assert window.contains((1, mu + 1))
 
 
 def test_criterion_02_unit_clearing_and_jet_agreement(announce):
@@ -222,7 +222,7 @@ def test_criterion_10_invariance_and_property_loops(announce):
             assert f.jet(mu).jet(mu) == f.jet(mu)
             assert (f * g).jet(mu) == (f.jet(mu) * g.jet(mu)).jet(mu)
             if not f.jet(mu).is_zero:
-                assert f.jet(mu).max_total_degree() <= mu
+                assert max(sum(e) for e, _ in f.jet(mu).terms) <= mu
 
         order_rng = random.Random(3002)
         for _ in range(1000):
@@ -231,13 +231,14 @@ def test_criterion_10_invariance_and_property_loops(announce):
             a = random_exponent(order_rng, ring.arity, 6)
             b = random_exponent(order_rng, ring.arity, 6)
             c = random_exponent(order_rng, ring.arity, 6)
-            assert order.compare(a, a) == 0
-            assert order.compare(a, b) == -order.compare(b, a)
-            if order.compare(a, b) <= 0 and order.compare(b, c) <= 0:
-                assert order.compare(a, c) <= 0
-            assert order.compare(exp_add(a, c), exp_add(b, c)) == \
-                order.compare(a, b)
-            assert order.compare((0,) * ring.arity, a) <= 0
+            key = order.key
+            ka, kb, kc = key(a), key(b), key(c)
+            assert (ka == kb) == (a == b)
+            if ka <= kb <= kc:
+                assert ka <= kc
+            kac, kbc = key(exp_add(a, c)), key(exp_add(b, c))
+            assert (kac < kbc, kac == kbc) == (ka < kb, ka == kb)
+            assert key((0,) * ring.arity) <= ka
 
         inexp_rng = random.Random(3003)
         for _ in range(1000):

@@ -5,8 +5,11 @@ import random
 import pytest
 
 from staircase import (
+    Diagram,
     MapSpec,
     NoCertifiedBound,
+    Order,
+    PoolLimitExceeded,
     Ring,
     SourceNotCompleteIntersection,
     Verdict,
@@ -15,6 +18,8 @@ from staircase import (
     diagram_determinacy_check,
     diagram_of_ideal,
     dimension_semicontinuity_probe,
+    exp_divides,
+    exponents_upto,
     fibre_ideal,
     flat_ci,
     jet_flatness_equivalence,
@@ -27,7 +32,13 @@ from staircase import (
     regular_sequence,
     truncated_series_generators,
 )
-from helpers import random_ideal, random_ring, random_tail, vanishing_poly
+from helpers import (
+    random_exponent,
+    random_ideal,
+    random_ring,
+    random_tail,
+    vanishing_poly,
+)
 
 RING = Ring(("x", "y"))
 X = RING.variable("x")
@@ -288,13 +299,62 @@ def test_jet_sweep_family_not_stabilized():
     assert first.mu == 5
     assert (1, 6) in first.new_on_window
     assert not first.equal
-    assert first.window_contains_base
+    assert first.contains_base
 
 
 def test_jet_sweep_validation_and_defaults():
     with pytest.raises(ValueError):
         jet_sweep([X], 3, 2)
     assert jet_sweep([X], 2, 4).length_bound == 7
+
+
+def test_jet_sweep_rows_match_diagram_queries_under_weights():
+    rng = random.Random(411)
+    gained_rows = lost_rows = 0
+    for case in range(120):
+        arity = rng.randint(1, 3 if case % 2 else 2)
+        weights = tuple(rng.randint(1, 2) for _ in range(arity))
+        ring = Ring(tuple("xyz")[:arity], order=Order(weights))
+        if case % 2:
+            gens = [vanishing_poly(rng, ring) for _ in range(rng.randint(1, 3))]
+        else:
+            # m1*p and m2*(p + deep tail): truncating the jets breaks the deep
+            # cancellation, so jet staircases can gain points over the base.
+            p = vanishing_poly(rng, ring, max_degree=3)
+            m1, m2 = (ring.monomial(random_exponent(rng, arity, k)) for k in (2, 3))
+            gens = [m1 * p, m2 * (p + random_tail(rng, ring, 3, 5))]
+        report = jet_sweep(gens, 1, rng.randint(2, 5), ring=ring)
+        bound = report.length_bound
+        base = diagram_of_ideal(gens, ring=ring)
+        for row in report.rows:
+            exact = Diagram(arity, row.vertices)
+            assert row.equal_upto_bound == exact.equal_upto(base, bound)
+            assert row.contains_base == all(
+                exact.contains(v) for v in base.vertices if sum(v) <= bound)
+            gained = [e for e in exponents_upto(arity, bound)
+                      if exact.contains(e) and not base.contains(e)]
+            assert set(row.new_on_window) == {
+                g for g in gained
+                if not any(h != g and exp_divides(h, g) for h in gained)}
+            gained_rows += bool(gained)
+            lost_rows += not row.contains_base
+    assert gained_rows and lost_rows
+
+
+def test_pool_ceiling_environment_reaches_the_determinacy_layer(monkeypatch):
+    gens = (Y - X ** 2, Y ** 3)
+    germ = MapSpec(RING, (), gens)
+    monkeypatch.setenv("STAIRCASE_POOL_CEILING", "0")
+    with pytest.raises(PoolLimitExceeded):
+        regular_sequence(gens)
+    with pytest.raises(PoolLimitExceeded):
+        flat_ci(germ)
+    with pytest.raises(PoolLimitExceeded):
+        milnor_mu0(germ)
+    monkeypatch.delenv("STAIRCASE_POOL_CEILING")
+    assert regular_sequence(gens).is_yes
+    assert flat_ci(germ).is_yes
+    assert milnor_mu0(germ) == 6
 
 
 def test_jet_staircases_contain_base_beyond_vertex_lengths():

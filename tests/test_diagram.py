@@ -7,17 +7,15 @@ import pytest
 
 from staircase import (
     Diagram,
-    DiagramSlice,
     Order,
+    exp_divides,
     exponents_below,
-    exponents_of_length,
     exponents_upto,
 )
 from staircase.diagram import covering_length
 
 
 def test_enumerators_are_ordered():
-    assert list(exponents_of_length(2, 2)) == [(0, 2), (1, 1), (2, 0)]
     assert exponents_upto(2, 2) == [
         (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
     assert exponents_upto(1, 3) == [(0,), (1,), (2,), (3,)]
@@ -56,6 +54,20 @@ def test_from_exponents_minimizes():
         Diagram.from_exponents([])
     with pytest.raises(ValueError):
         Diagram.from_exponents([(1, 0), (1, 0, 0)])
+
+
+def test_from_exponents_matches_minimal_elements():
+    rng = random.Random(409)
+    for _ in range(300):
+        arity = rng.randint(1, 4)
+        pts = [tuple(rng.randint(0, 4) for _ in range(arity))
+               for _ in range(rng.randint(0, 12))]
+        pts += rng.sample(pts, min(3, len(pts)))  # duplicates
+        rng.shuffle(pts)
+        minimal = {p for p in pts
+                   if not any(q != p and exp_divides(q, p) for q in pts)}
+        d = Diagram.from_exponents(pts, arity=arity)
+        assert set(d.vertices) == minimal
 
 
 def test_membership_and_complement():
@@ -116,11 +128,13 @@ def test_power_of_maximal_is_sharp():
         d = Diagram.from_exponents(points, arity=arity)
         k = d.power_of_maximal()
         assert k is not None
-        sphere_in = all(d.contains(e) for e in exponents_of_length(arity, k))
+        sphere_in = all(d.contains(e) for e in exponents_upto(arity, k)
+                        if sum(e) == k)
         assert sphere_in
         if k > 0:
             sphere_below = all(d.contains(e)
-                               for e in exponents_of_length(arity, k - 1))
+                               for e in exponents_upto(arity, k - 1)
+                               if sum(e) == k - 1)
             assert not sphere_below
 
 
@@ -165,10 +179,6 @@ def test_equal_upto():
     assert d.equal_upto(d, 100)
 
 
-def test_to_lists_and_slice():
+def test_to_lists():
     d = Diagram(2, ((2, 0), (0, 2)))
     assert d.to_lists() == [[0, 2], [2, 0]]
-    s = DiagramSlice(d, 5)
-    assert s.diagram is d
-    assert s.length_bound == 5
-    assert s.certified
