@@ -110,13 +110,10 @@ class Order:
 class Ring:
     """A ring of convergent power series, handled through polynomial data.
 
-    `base_split = n` marks the first n variables as base (deformation)
-    directions; `evaluate_base_zero` sets them to zero. Most rings use the
-    default split 0. The order defaults to unit weights.
+    The order defaults to unit weights.
     """
 
     variables: tuple[str, ...]
-    base_split: int = 0
     order: Order | None = None
 
     def __post_init__(self):
@@ -127,8 +124,6 @@ class Ring:
             raise ValueError("variable names must be nonempty")
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
-        if not 0 <= self.base_split <= len(names):
-            raise ValueError("base_split out of range")
         order = self.order if self.order is not None else Order.unit(len(names))
         if order.arity != len(names):
             raise ValueError("order arity does not match the variable count")
@@ -144,13 +139,6 @@ class Ring:
             return self.variables.index(name)
         except ValueError:
             raise ValueError(f"unknown variable {name!r}") from None
-
-    def x_subring(self) -> "Ring":
-        """The subring in the non-base variables only."""
-        n = self.base_split
-        if n == 0:
-            return self
-        return Ring(self.variables[n:], 0, Order(self.order.weights[n:]))
 
     def zero(self) -> "Poly":
         return Poly(self, ())
@@ -375,36 +363,23 @@ class Poly:
             raise ValueError("jet order must be a nonnegative integer")
         return Poly(self.ring, tuple((e, c) for e, c in self.terms if sum(e) <= mu))
 
-    def evaluate_base_zero(self) -> "Poly":
-        """Set every base variable to zero; lands in the non-base subring."""
-        n = self.ring.base_split
-        if n < 1:
-            raise ValueError("the ring declares no base variables")
-        sub = self.ring.x_subring()
-        kept = [(e[n:], c) for e, c in self.terms if not any(e[:n])]
-        return Poly.from_terms(sub, kept)
-
     def apply_coord_change(self, change: "CoordChange") -> "Poly":
-        """Substitute x_i -> sum_j c_ij x_j on the non-base variables."""
+        """Substitute x_i -> sum_j c_ij x_j on every variable."""
         ring = self.ring
-        n = ring.base_split
-        size = ring.arity - n
-        if change.size != size:
+        if change.size != ring.arity:
             raise ValueError("coordinate change size does not match the ring")
         images = []
         for row in change.matrix:
             pairs = []
             for j, c in enumerate(row):
                 if c:
-                    exp = tuple(1 if k == n + j else 0 for k in range(ring.arity))
+                    exp = tuple(1 if k == j else 0 for k in range(ring.arity))
                     pairs.append((exp, c))
             images.append(Poly.from_terms(ring, pairs))
         out = ring.zero()
         for exp, coeff in self.terms:
-            base_exp = exp[:n] + (0,) * size
-            piece = Poly.from_terms(ring, [(base_exp, coeff)])
-            for i in range(size):
-                e = exp[n + i]
+            piece = ring.constant(coeff)
+            for i, e in enumerate(exp):
                 if e:
                     piece = piece * (images[i] ** e)
             out = out + piece
@@ -489,7 +464,7 @@ def _fraction_matrix_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
 
 @dataclass(frozen=True)
 class CoordChange:
-    """Invertible linear substitution on the non-base variables."""
+    """Invertible linear substitution on the variables."""
 
     matrix: tuple[tuple[Fraction, ...], ...]
 
@@ -513,9 +488,6 @@ class CoordChange:
     @property
     def size(self) -> int:
         return len(self.matrix)
-
-    def determinant(self) -> Fraction:
-        return _fraction_matrix_det(self.matrix)
 
 
 def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:

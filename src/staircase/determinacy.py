@@ -118,8 +118,6 @@ class MapSpec:
     def __post_init__(self):
         object.__setattr__(self, "relations", tuple(self.relations))
         object.__setattr__(self, "components", tuple(self.components))
-        if self.ring.base_split != 0:
-            raise ValueError("map germs are defined over a plain source ring")
         if not self.relations and not self.components:
             raise ValueError("a map germ needs at least one relation or component")
         for p in self.relations + self.components:
@@ -179,8 +177,8 @@ def regular_sequence(gens, *, ring: Ring | None = None) -> Verdict:
 
 def random_coord_change(ring: Ring, rng: random.Random,
                         entry_bound: int = 5) -> CoordChange:
-    """Seeded random invertible integer matrix acting on the non-base block."""
-    size = ring.arity - ring.base_split
+    """Seeded random invertible integer matrix acting on the variables."""
+    size = ring.arity
     while True:
         rows = tuple(
             tuple(Fraction(rng.randint(-entry_bound, entry_bound))
@@ -255,48 +253,14 @@ def regseq_axis_certificate(gens, *, trials: int = 8, seed: int = 0,
     return Verdict.unknown(bound, {"trials": trials, "seed": seed})
 
 
-def _graph_ring(ring: Ring, n: int) -> Ring:
-    from .core import Order
-
-    names: list[str] = []
-    taken = set(ring.variables)
-    for j in range(n):
-        cand = f"t{j}"
-        while cand in taken:
-            cand = "_" + cand
-        names.append(cand)
-        taken.add(cand)
-    weights = (1,) * n + ring.order.weights
-    return Ring(tuple(names) + ring.variables, base_split=n, order=Order(weights))
-
-
-def _lift(p: Poly, graph: Ring) -> Poly:
-    n = graph.base_split
-    return Poly(graph, tuple(((0,) * n + e, c) for e, c in p.terms))
-
-
 def fibre_ideal(m: MapSpec) -> list[Poly]:
     """Generators of the special fibre: the graph ideal evaluated at base zero.
 
     The graph of phi inside K^n x K^m is cut by the relations together with
     y_j - phi_j; setting the target coordinates y to zero leaves exactly the
-    relations followed by the components.
+    relations followed by the components. Zero polynomials are dropped.
     """
-    n = m.target_dim
-    if n == 0:
-        return list(m.relations)
-    graph = _graph_ring(m.ring, n)
-    gens = [_lift(h, graph) for h in m.relations]
-    for j, phi in enumerate(m.components):
-        gens.append(graph.variable(graph.variables[j]) - _lift(phi, graph))
-    out: list[Poly] = []
-    for i, g in enumerate(gens):
-        value = g.evaluate_base_zero()
-        if i >= len(m.relations):
-            value = -value
-        if not value.is_zero:
-            out.append(value)
-    return out
+    return [p for p in m.relations + m.components if not p.is_zero]
 
 
 def flat_ci(m: MapSpec) -> Verdict:

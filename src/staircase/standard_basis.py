@@ -221,7 +221,6 @@ class SPairRecord:
 class SBasis:
     """A standard basis together with its staircase and the completion log."""
 
-    generators: tuple[Poly, ...]
     basis: tuple[Poly, ...]
     diagram: Diagram
     trace: tuple[SPairRecord, ...]
@@ -305,7 +304,7 @@ def standard_basis(
         push_pairs(new_index)
         cap = window_cap()
     diagram = Diagram.from_exponents(inexps, arity=ring.arity)
-    return SBasis(gens, tuple(basis), diagram, tuple(records))
+    return SBasis(tuple(basis), diagram, tuple(records))
 
 
 def diagram_of_ideal(gens, *, ring: Ring | None = None) -> Diagram:

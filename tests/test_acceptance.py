@@ -13,7 +13,6 @@ import pytest
 from staircase import (
     MapSpec,
     SourceNotCompleteIntersection,
-    VerdictKind,
     demo_ring,
     determinant,
     diagram_determinacy_check,

@@ -9,7 +9,6 @@ import pytest
 from staircase import (
     CoordChange,
     Order,
-    Poly,
     Ring,
     determinant,
     exp_add,
@@ -30,8 +29,6 @@ def test_ring_validation():
         Ring(("x", "x"))
     with pytest.raises(ValueError):
         Ring(())
-    with pytest.raises(ValueError):
-        Ring(("x",), base_split=2)
     with pytest.raises(ValueError):
         Ring(("x", "y"), order=Order((1,)))
 
@@ -189,7 +186,6 @@ def test_coord_change_substitution():
     assert X.apply_coord_change(change) == X + Y
     assert Y.apply_coord_change(change) == Y
     assert (X * Y).apply_coord_change(change) == (X + Y) * Y
-    assert CoordChange.identity(2).determinant() == 1
     with pytest.raises(ValueError):
         CoordChange(((1, 1), (2, 2)))
     with pytest.raises(ValueError):
@@ -214,28 +210,6 @@ def test_coord_change_multiplicative_randomized():
         left = (f * g).apply_coord_change(change)
         right = f.apply_coord_change(change) * g.apply_coord_change(change)
         assert left == right
-
-
-def test_coord_change_keeps_base_variables():
-    ring = Ring(("t", "x", "y"), base_split=1)
-    t = ring.variable("t")
-    x = ring.variable("x")
-    y = ring.variable("y")
-    change = CoordChange(((1, 1), (0, 1)))
-    assert (t * x).apply_coord_change(change) == t * (x + y)
-    assert t.apply_coord_change(change) == t
-
-
-def test_evaluate_base_zero():
-    ring = Ring(("t", "x"), base_split=1)
-    t = ring.variable("t")
-    x = ring.variable("x")
-    f = x ** 2 + t * x + t
-    value = f.evaluate_base_zero()
-    sub = ring.x_subring()
-    assert value == sub.variable("x") ** 2
-    with pytest.raises(ValueError):
-        X.evaluate_base_zero()
 
 
 def _permutation_determinant(rows):

@@ -67,9 +67,6 @@ def test_map_spec_validation():
         MapSpec(RING, (), (X + RING.constant(1),))
     with pytest.raises(ValueError):
         MapSpec(RING, (X * Y + RING.constant(2),), (X,))
-    mixed = Ring(("t", "x"), base_split=1)
-    with pytest.raises(ValueError):
-        MapSpec(mixed, (), (mixed.variable("x"),))
     other = Ring(("u", "v"))
     with pytest.raises(ValueError):
         MapSpec(RING, (), (other.variable("u"),))
@@ -165,6 +162,8 @@ def test_fibre_ideal_pinned():
     assert fibre_ideal(mixed) == [X * Y, X]
     relations_only = MapSpec(RING, (X * Y,), ())
     assert fibre_ideal(relations_only) == [X * Y]
+    zero_relation = MapSpec(RING, (X * Y, RING.zero()), ())
+    assert fibre_ideal(zero_relation) == [X * Y]
 
 
 def test_flat_ci_pinned():
@@ -310,7 +309,7 @@ def test_jet_sweep_validation_and_defaults():
 
 def test_jet_sweep_rows_match_diagram_queries_under_weights():
     rng = random.Random(411)
-    gained_rows = lost_rows = 0
+    cases = []
     for case in range(120):
         arity = rng.randint(1, 3 if case % 2 else 2)
         weights = tuple(rng.randint(1, 2) for _ in range(arity))
@@ -323,7 +322,22 @@ def test_jet_sweep_rows_match_diagram_queries_under_weights():
             p = vanishing_poly(rng, ring, max_degree=3)
             m1, m2 = (ring.monomial(random_exponent(rng, arity, k)) for k in (2, 3))
             gens = [m1 * p, m2 * (p + random_tail(rng, ring, 3, 5))]
-        report = jet_sweep(gens, 1, rng.randint(2, 5), ring=ring)
+        cases.append((ring, gens, 1, rng.randint(2, 5)))
+    # The series family on (x, y) and again on (z, w): each copy gains a
+    # point at every mu, so one row gains several vertices at once, such as
+    # (0,0,1,6) and (1,6,0,0) at mu=5.
+    ring = Ring(("x", "y", "z", "w"))
+    gens = []
+    for a, b in (("x", "y"), ("z", "w")):
+        a, b = ring.variable(a), ring.variable(b)
+        f1 = a ** 3 * b + sum((a * b ** k for k in range(4, 12)), ring.zero())
+        f2 = a ** 2 * b ** 3 + sum((b ** k for k in range(6, 13)), ring.zero())
+        gens += [f1, f2]
+    cases.append((ring, gens, 5, 7))
+    gained_rows = lost_rows = multi_vertex_rows = 0
+    for ring, gens, mu_min, mu_max in cases:
+        arity = ring.arity
+        report = jet_sweep(gens, mu_min, mu_max, ring=ring)
         bound = report.length_bound
         base = diagram_of_ideal(gens, ring=ring)
         for row in report.rows:
@@ -338,7 +352,9 @@ def test_jet_sweep_rows_match_diagram_queries_under_weights():
                 if not any(h != g and exp_divides(h, g) for h in gained)}
             gained_rows += bool(gained)
             lost_rows += not row.contains_base
+            multi_vertex_rows += len(row.new_on_window) >= 2
     assert gained_rows and lost_rows
+    assert multi_vertex_rows
 
 
 def test_pool_ceiling_environment_reaches_the_determinacy_layer(monkeypatch):

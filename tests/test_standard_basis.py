@@ -7,14 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from staircase import (
-    Diagram,
     Order,
     PoolLimitExceeded,
     Poly,
     Ring,
     TruncationBasis,
     diagram_of_ideal,
-    exp_add,
     exp_divides,
     exp_lcm,
     exp_sub,
