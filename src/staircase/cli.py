@@ -192,11 +192,19 @@ def _show_dim(entry):
     return [f"ideal {entry['name']}: dimension {entry['dimension']}"]
 
 
+def _window_bound(args, bound: int) -> int:
+    # hilbert reads H(0..0) at --bound 0, but a window needs length 1.
+    if bound < 1:
+        raise _UsageError(f"{args.command} --bound requires a positive integer")
+    return bound
+
+
 def _run_regseq(args, ring, gens):
+    bound = None if args.bound is None else _window_bound(args, args.bound)
     entry = {"verdict": regular_sequence(gens, ring=ring).to_dict()}
-    if args.bound is not None:
+    if bound is not None:
         axis = regseq_axis_certificate(gens, trials=args.trials, seed=args.seed,
-                                       bound=args.bound, ring=ring)
+                                       bound=bound, ring=ring)
         entry["axis_certificate"] = axis.to_dict()
     return entry
 
@@ -296,7 +304,8 @@ def _show_sweep(entry):
 
 
 def _run_oracle_check(args, ring, gens):
-    top = args.bound if args.bound is not None else _DEFAULT_SLICE_BOUND
+    top = _window_bound(args, args.bound if args.bound is not None
+                        else _DEFAULT_SLICE_BOUND)
     rep = oracle_cross_check(gens, top, ring=ring)
     return {
         "bound": top,

@@ -19,8 +19,7 @@ from fractions import Fraction
 
 from .core import CoordChange, Exponent, Poly, Ring, resolve_ring, total_degree
 from .diagram import Diagram, exponents_upto
-from .jet_oracle import truncated_diagram
-from .standard_basis import diagram_of_ideal
+from .standard_basis import diagram_of_ideal, standard_basis
 
 __all__ = [
     "VerdictKind",
@@ -201,10 +200,12 @@ def regseq_axis_certificate(gens, *, trials: int = 8, seed: int = 0,
     """Search for pure-power staircase vertices on the first s axes.
 
     Trial 0 keeps the coordinates; later trials apply seeded random integer
-    changes. Finding a pure power of each of the first s axes inside the
-    window certifies the quotient dimension is at most m - s, hence the
-    sequence is regular; the certificate is self-validating. Absence of a
-    witness is only ever UnknownAtBound, never a negative.
+    changes. Each trial reads the window of weighted length at most `bound`
+    from a Mora completion capped at bound + 1, which is exact there.
+    Finding a pure power of each of the first s axes inside the window
+    certifies the quotient dimension is at most m - s, hence the sequence is
+    regular; the certificate is self-validating. Absence of a witness is
+    only ever UnknownAtBound, never a negative.
     """
     gens, ring = resolve_ring(gens, ring)
     if trials < 1:
@@ -228,7 +229,7 @@ def regseq_axis_certificate(gens, *, trials: int = 8, seed: int = 0,
         change = (CoordChange.identity(m) if trial == 0
                   else random_coord_change(ring, rng, entry_bound))
         moved = [g.apply_coord_change(change) for g in nonzero]
-        window = truncated_diagram(moved, bound + 1, ring=ring)
+        window = standard_basis(moved, ring=ring, length_cap=bound + 1).diagram
         axes: list[Exponent] = []
         for axis in range(s):
             hit = None
@@ -414,17 +415,21 @@ def jet_sweep(gens, mu_min: int, mu_max: int, *, length_bound: int | None = None
               ring: Ring | None = None) -> SweepReport:
     """Compare the staircases of the jet ideals against the full ideal.
 
-    Each row carries the exact staircase of the ideal of mu-jets, the oracle
-    window (independent certification data), equality flags, the quotient
-    dimension, complement counts, and the minimal window exponents gained
-    over the base staircase. The summary only ever reports stabilization
-    observed inside the range.
+    Each row carries the exact staircase of the ideal of mu-jets, its slice
+    (the vertices of weighted length at most `length_bound`), equality
+    flags, the quotient dimension, complement counts, and the minimal
+    exponents of total degree at most `length_bound` gained over the base
+    staircase. The summary only ever reports stabilization observed inside
+    the range.
     """
     gens, ring = resolve_ring(gens, ring)
     if mu_min > mu_max:
         raise ValueError("empty jet range")
     if length_bound is None:
         length_bound = mu_max + 3
+    if length_bound < 0:
+        raise ValueError("the length bound must be nonnegative")
+    length = ring.order.length
     base = diagram_of_ideal(gens, ring=ring)
     in_base = [(e, base.contains(e))
                for e in exponents_upto(ring.arity, length_bound)]
@@ -432,7 +437,6 @@ def jet_sweep(gens, mu_min: int, mu_max: int, *, length_bound: int | None = None
     for mu in range(mu_min, mu_max + 1):
         jets = jet_ideal(gens, mu)
         exact = diagram_of_ideal(jets, ring=ring)
-        window = truncated_diagram(jets, length_bound + 1, ring=ring)
         # A base point of total degree <= L lies above a base vertex of total
         # degree <= L, so losing no point means containing those vertices.
         gained: list[Exponent] = []
@@ -443,7 +447,10 @@ def jet_sweep(gens, mu_min: int, mu_max: int, *, length_bound: int | None = None
         rows.append(SweepRow(
             mu=mu,
             vertices=exact.vertices,
-            window_vertices=window.vertices,
+            # A point of the slice lies above a vertex no longer than
+            # itself, so the slice's vertices are the short exact vertices.
+            window_vertices=tuple(
+                v for v in exact.vertices if length(v) <= length_bound),
             equal=exact == base,
             equal_upto_bound=not (gained or lost),
             contains_base=not lost,

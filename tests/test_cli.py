@@ -303,10 +303,18 @@ def test_usage_errors_with_file(capsys, files):
         ["hilbert", files["main"], "--bound", "-3"],
         ["sweep", files["main"], "--mu", "5..6", "--len", "-3"],
         ["regseq", files["main"], "--trials", "0"],
+        ["regseq", files["main"], "--bound", "0"],
+        ["oracle-check", files["main"], "--bound", "0"],
     ):
         code, _, err = run(capsys, argv)
         assert code == 1
         assert "usage error" in err
+        if "--bound" in argv:
+            assert "--bound" in err
+    # A window needs length 1, but H(0..0) is a fine question.
+    code, out, _ = run(capsys, ["hilbert", files["main"], "--bound", "0"])
+    assert code == 0
+    assert ": H(0..0) = 1\n" in out
 
 
 def test_pool_ceiling_exit_code(capsys, files, monkeypatch):

@@ -30,6 +30,7 @@ from staircase import (
     random_coord_change,
     regseq_axis_certificate,
     regular_sequence,
+    truncated_diagram,
     truncated_series_generators,
 )
 from helpers import (
@@ -304,7 +305,10 @@ def test_jet_sweep_family_not_stabilized():
 def test_jet_sweep_validation_and_defaults():
     with pytest.raises(ValueError):
         jet_sweep([X], 3, 2)
+    with pytest.raises(ValueError, match="length bound"):
+        jet_sweep([X], 2, 4, length_bound=-1)
     assert jet_sweep([X], 2, 4).length_bound == 7
+    assert jet_sweep([X], 2, 4, length_bound=0).rows[0].hilbert == (1,)
 
 
 def test_jet_sweep_rows_match_diagram_queries_under_weights():
@@ -342,6 +346,8 @@ def test_jet_sweep_rows_match_diagram_queries_under_weights():
         base = diagram_of_ideal(gens, ring=ring)
         for row in report.rows:
             exact = Diagram(arity, row.vertices)
+            assert row.window_vertices == truncated_diagram(
+                jet_ideal(gens, row.mu), bound + 1, ring=ring).vertices
             assert row.equal_upto_bound == exact.equal_upto(base, bound)
             assert row.contains_base == all(
                 exact.contains(v) for v in base.vertices if sum(v) <= bound)

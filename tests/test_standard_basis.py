@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from staircase import (
+    MoraTrace,
     Order,
     PoolLimitExceeded,
     Poly,
@@ -18,11 +19,14 @@ from staircase import (
     exp_sub,
     exponents_below,
     mora_normal_form,
+    random_coord_change,
     standard_basis,
     truncated_diagram,
     unit_cleared_generators,
 )
-from helpers import random_ideal, random_poly, random_ring, random_tail
+from helpers import (
+    random_ideal, random_poly, random_ring, random_tail, vanishing_poly,
+)
 
 RING = Ring(("x", "y"))
 X = RING.variable("x")
@@ -72,19 +76,39 @@ def test_mora_remainder_is_irreducible():
                        for r in reducers)
 
 
+def _pool_unit_factors(trace):
+    # Pool entry p_k is u_j * f modulo the reducers, j = pooled_at[k], and
+    # u_j is the unit of the trace cut before step j.
+    return [MoraTrace(trace.ring, trace.steps[:j],
+                      tuple(i for i in trace.pooled_at if i < j)).unit
+            for j in trace.pooled_at]
+
+
 def test_mora_weak_normal_form_identity():
     rng = random.Random(202)
-    for _ in range(60):
+    chained = 0
+    # Random reducers often hold a unit, and then every witness lies in the
+    # ideal; vanishing reducers keep it proper, so only a right unit passes.
+    for case in range(360):
         ring = random_ring(rng)
-        reducers = random_ideal(rng, ring, max_degree=3)
+        if case < 60:
+            reducers = random_ideal(rng, ring, max_degree=3)
+        else:
+            reducers = [vanishing_poly(rng, ring, max_degree=3)
+                        for _ in range(rng.randint(1, 3))]
         f = random_poly(rng, ring, max_degree=4)
         remainder, trace = mora_normal_form(f, reducers)
         assert trace.unit.constant_term == 1
+        if case >= 60:
+            used = {step.reducer for step in trace.steps}
+            chained += any(f"p{k}" in used and u != ring.constant(1)
+                           for k, u in enumerate(_pool_unit_factors(trace)))
         witness = trace.unit * f - remainder
         if witness.is_zero:
             continue
         window = TruncationBasis.build(reducers, 9, ring=ring)
         assert window.contains_mod_truncation(witness)
+    assert chained
 
 
 def test_standard_basis_pinned_examples():
@@ -232,9 +256,16 @@ def weighted_ideals(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(weighted_ideals(), st.integers(1, 7), st.integers(1, 3))
-def test_capped_window_equals_the_oracle_window(ideal, bound, extra):
+@given(weighted_ideals(), st.integers(1, 7), st.integers(1, 3),
+       st.integers(0, 2 ** 16))
+def test_capped_window_equals_the_oracle_window(ideal, bound, extra, seed):
     ring, gens = ideal
+    # The axis certificate sends such dense, coordinate-moved ideals to
+    # capped Mora.
+    change = random_coord_change(ring, random.Random(seed))
+    moved = [g.apply_coord_change(change) for g in gens]
+    assert (standard_basis(moved, ring=ring, length_cap=bound).diagram
+            == truncated_diagram(moved, bound, ring=ring))
     capped = standard_basis(gens, ring=ring, length_cap=bound).diagram
     assert capped == truncated_diagram(gens, bound, ring=ring)
     wider = standard_basis(gens, ring=ring, length_cap=bound + extra).diagram
