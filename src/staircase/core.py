@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, mul, sub
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -52,25 +53,29 @@ def total_degree(exp: Exponent) -> int:
     return sum(exp)
 
 
+# The exponent helpers run once per term in Mora's inner loop, so they map
+# `operator` functions over the tuples instead of looping in Python.
+
+
 def exp_add(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def exp_sub(a: Exponent, b: Exponent) -> Exponent:
     """Componentwise difference, defined only when b divides a."""
-    out = tuple(x - y for x, y in zip(a, b))
-    if any(e < 0 for e in out):
+    out = tuple(map(sub, a, b))
+    if out and min(out) < 0:
         raise ValueError(f"{b} does not divide {a}")
     return out
 
 
 def exp_divides(a: Exponent, b: Exponent) -> bool:
     """True when x^a divides x^b, i.e. a <= b componentwise."""
-    return len(a) == len(b) and all(x <= y for x, y in zip(a, b))
+    return len(a) == len(b) and all(map(le, a, b))
 
 
 def exp_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 @dataclass(frozen=True)
@@ -100,10 +105,12 @@ class Order:
     def length(self, exp: Exponent) -> int:
         if len(exp) != len(self.weights):
             raise ValueError("exponent arity does not match the order")
-        return sum(w * e for w, e in zip(self.weights, exp))
+        return sum(map(mul, self.weights, exp))
 
     def key(self, exp: Exponent):
-        return (self.length(exp), *exp)
+        if len(exp) != len(self.weights):
+            raise ValueError("exponent arity does not match the order")
+        return (sum(map(mul, self.weights, exp)), *exp)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,11 @@ skips pairs with coprime initial exponents; both are sound for these orders.
 Once the partial staircase already has a finite complement, every term whose
 weighted length clears that complement lies in the ideal, so reductions may
 delete such terms outright. The completion passes that bound to the divider,
-which defuses the coefficient blowups deep tails would otherwise cause.
+which defuses the coefficient blowups deep tails would otherwise cause. The
+cap cuts before the merge: the divider shifts only the part of a reducer that
+lands below it, and the completion builds only the part of an s-polynomial
+below it, so no deep term is ever computed. Deleting terms commutes with
+shifting, scaling and subtracting, so the results are those of cutting after.
 """
 
 from __future__ import annotations
@@ -132,14 +136,23 @@ class _Reducer:
     index: int
 
 
-def _drop_deep_terms(p: Poly, cap: int | None) -> Poly:
-    if cap is None or p.is_zero:
+def _below(p: Poly, shift: Exponent, cap: int | None) -> Poly:
+    """The terms of p that x^shift moves below length cap, unshifted.
+
+    Terms ascend length-first, so they form a prefix; the scan runs from the
+    tail, where the deep terms are.
+    """
+    if cap is None:
         return p
     length = p.ring.order.length
-    kept = tuple(t for t in p.terms if length(t[0]) < cap)
-    if len(kept) == len(p.terms):
+    limit = cap - length(shift)
+    terms = p.terms
+    end = len(terms)
+    while end and length(terms[end - 1][0]) >= limit:
+        end -= 1
+    if end == len(terms):
         return p
-    return Poly(p.ring, kept)
+    return Poly(p.ring, terms[:end])
 
 
 def mora_normal_form(
@@ -153,13 +166,14 @@ def mora_normal_form(
     exponent is divisible by no reducer's initial exponent; in all cases
     trace.unit * f is congruent to the remainder modulo the reducer ideal.
 
-    A length_cap B deletes every term of weighted length at least B as soon
-    as it appears, so the normal form is computed modulo J_B, the ideal of
-    monomials of length >= B. Either the caller guarantees that J_B already
-    lies in the reducer ideal (the completion loop certifies this from the
-    partial staircase), and the result is exact, or the caller computes in
-    the quotient by J_B on purpose, as `standard_basis` does when given a
-    length_cap.
+    A length_cap B deletes every term of weighted length at least B before
+    it appears: the input is cut once, and each step subtracts only the part
+    of the shifted reducer below B. So the normal form is computed modulo
+    J_B, the ideal of monomials of length >= B. Either the caller guarantees
+    that J_B already lies in the reducer ideal (the completion loop
+    certifies this from the partial staircase), and the result is exact, or
+    the caller computes in the quotient by J_B on purpose, as
+    `standard_basis` does when given a length_cap.
     """
     reducers = list(reducers)
     ring = f.ring
@@ -176,7 +190,7 @@ def mora_normal_form(
                  g.ecart(), f"r{i}", i)
         for i, g in enumerate(reducers)
     ]
-    h = _drop_deep_terms(f, length_cap)
+    h = _below(f, (0,) * ring.arity, length_cap)
     steps: list[MoraStep] = []
     pooled_at: list[int] = []
     while not h.is_zero:
@@ -201,7 +215,9 @@ def mora_normal_form(
             pooled_at.append(len(steps))
         shift = exp_sub(hexp, chosen.inexp)
         coeff = h.initial_coefficient() / chosen.lead
-        h = _drop_deep_terms(h._sub_shifted(coeff, shift, chosen.poly), length_cap)
+        # h lies below the cap, so cutting the shifted reducer is enough;
+        # its initial term lands on hexp and survives the cut.
+        h = h._sub_shifted(coeff, shift, _below(chosen.poly, shift, length_cap))
         steps.append(MoraStep(chosen.label, shift, coeff))
     assert h.is_zero or all(
         not exp_divides(entry.inexp, h.initial_exponent()) for entry in pool
@@ -226,12 +242,15 @@ class SBasis:
     trace: tuple[SPairRecord, ...]
 
 
-def _spoly(f: Poly, g: Poly) -> Poly:
+def _spoly(f: Poly, g: Poly, cap: int | None) -> Poly:
+    """The s-polynomial of f and g without its terms of length >= cap."""
     a, b = f.initial_exponent(), g.initial_exponent()
     lcm = exp_lcm(a, b)
-    fa = Poly(f.ring, tuple((exp_add(e, exp_sub(lcm, a)), c) for e, c in f.terms))
-    gb = Poly(g.ring, tuple((exp_add(e, exp_sub(lcm, b)), c) for e, c in g.terms))
-    return fa.scaled(1 / f.initial_coefficient()) - gb.scaled(1 / g.initial_coefficient())
+    sa, sb = exp_sub(lcm, a), exp_sub(lcm, b)
+    inv = 1 / f.initial_coefficient()
+    fa = Poly(f.ring, tuple(
+        (exp_add(e, sa), inv * c) for e, c in _below(f, sa, cap).terms))
+    return fa._sub_shifted(1 / g.initial_coefficient(), sb, _below(g, sb, cap))
 
 
 def standard_basis(
@@ -257,7 +276,7 @@ def standard_basis(
         raise ValueError("the length cap must be at least 1")
     basis: list[Poly] = [
         g.content_normalized()
-        for g in (_drop_deep_terms(f, length_cap) for f in gens)
+        for g in (_below(f, (0,) * ring.arity, length_cap) for f in gens)
         if not g.is_zero]
     inexps: list[Exponent] = [b.initial_exponent() for b in basis]
     records: list[SPairRecord] = []
@@ -287,7 +306,7 @@ def standard_basis(
         if lcm == exp_add(inexps[i], inexps[j]):
             records.append(SPairRecord(0, True, None, True))
             continue
-        s = _spoly(basis[i], basis[j])
+        s = _spoly(basis[i], basis[j], cap)
         if s.is_zero:
             records.append(SPairRecord(0, True, None))
             continue

@@ -50,8 +50,15 @@ def test_weighted_order():
 
 
 def test_order_length_checks_arity():
-    with pytest.raises(ValueError):
-        RING.order.length((1, 2, 3))
+    # map() stops at the shorter tuple, so only the explicit check catches a
+    # mismatch, in length and in key alike.
+    for order in (RING.order, Order((2, 3))):
+        for exp in ((1, 2, 3), (1,)):
+            with pytest.raises(ValueError):
+                order.length(exp)
+            with pytest.raises(ValueError):
+                order.key(exp)
+    assert Order((2, 3)).key((1, 2)) == (8, 1, 2)
 
 
 def test_arithmetic_matches_hand_expansion():

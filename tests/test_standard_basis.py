@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from staircase import (
     MoraTrace,
@@ -24,6 +24,7 @@ from staircase import (
     truncated_diagram,
     unit_cleared_generators,
 )
+from staircase.standard_basis import _spoly
 from helpers import (
     random_ideal, random_poly, random_ring, random_tail, vanishing_poly,
 )
@@ -271,3 +272,41 @@ def test_capped_window_equals_the_oracle_window(ideal, bound, extra, seed):
     wider = standard_basis(gens, ring=ring, length_cap=bound + extra).diagram
     for e in exponents_below(ring.order, bound):
         assert wider.contains(e) == capped.contains(e)
+
+
+@st.composite
+def spoly_pairs(draw):
+    arity = draw(st.integers(1, 3))
+    ring = Ring(tuple("xyz")[:arity],
+                order=Order(tuple(draw(st.integers(1, 3)) for _ in range(arity))))
+    exponent = st.tuples(*[st.integers(0, 3)] * arity)
+    coeff = st.integers(-3, 3).filter(bool)
+    poly = (st.lists(st.tuples(exponent, coeff), min_size=1, max_size=4)
+            .map(lambda pairs: Poly.from_terms(ring, pairs))
+            .filter(lambda p: not p.is_zero))
+    return ring, draw(poly), draw(poly)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spoly_pairs(), st.none() | st.integers(1, 12))
+# The lcm (2, 1) reaches the cap, so both sides vanish.
+@example((RING, X ** 2 + X ** 3, X * Y - Y ** 3), 3)
+# Each shifted side has terms of lengths 3, 4 and 5; only those of length 3
+# stay.
+@example((RING, X + X * Y + Y ** 3 + X ** 4, Y + X ** 2 + X * Y ** 2 + Y ** 4), 4)
+def test_capped_spoly_is_the_spoly_without_its_deep_terms(pair, cap):
+    ring, f, g = pair
+    a, b = f.initial_exponent(), g.initial_exponent()
+    lcm = exp_lcm(a, b)
+    full = (f * ring.monomial(exp_sub(lcm, a))).scaled(1 / f.initial_coefficient()) \
+        - (g * ring.monomial(exp_sub(lcm, b))).scaled(1 / g.initial_coefficient())
+    length = ring.order.length
+    kept = tuple(t for t in full.terms if cap is None or length(t[0]) < cap)
+    assert _spoly(f, g, cap) == Poly(ring, kept)
+    if cap is not None and length(lcm) >= cap:
+        assert _spoly(f, g, cap).is_zero
+    # Mora cuts its reducers with the same helper; a capped remainder keeps
+    # no term at or beyond the cap.
+    if cap is not None:
+        remainder, _ = mora_normal_form(f, [g], length_cap=cap)
+        assert all(length(e) < cap for e, _ in remainder.terms)
