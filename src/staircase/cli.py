@@ -59,6 +59,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_ORDER = (("--order",), {"help": "order weights, comma separated"})
+_SEED = (("--seed",), {"type": int, "default": None,
+                       "help": "random seed (default 0)"})
+_TRIALS = (("--trials",), {"type": int, "default": None,
+                           "help": "coordinate-change trials (default 8)"})
+_BOUND = (("--bound",), {"type": int, "default": None,
+                         "help": "length or slice bound"})
+_JSON = (("--json",), {"action": "store_true", "dest": "as_json",
+                       "help": "emit the report as JSON"})
+_EXPECT_YES = (("--expect-yes",), {
+    "action": "store_true", "dest": "expect_yes",
+    "help": "exit 2 unless every verdict is certified-yes"})
+# Shared flags lead every command's --help, always in this order.
+_SHARED = (_ORDER, _SEED, _TRIALS, _BOUND, _JSON, _EXPECT_YES)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="staircase",
                      description="Staircases of local ideals: diagrams, "
@@ -70,18 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help)
         if command.over is not None:
             p.add_argument("file", help="problem file path")
-        p.add_argument("--order", help="order weights, comma separated")
-        p.add_argument("--seed", type=int, default=None,
-                       help="random seed (default 0)")
-        p.add_argument("--trials", type=int, default=None,
-                       help="coordinate-change trials (default 8)")
-        p.add_argument("--bound", type=int, default=None,
-                       help="length or slice bound")
-        p.add_argument("--json", action="store_true", dest="as_json",
-                       help="emit the report as JSON")
-        p.add_argument("--expect-yes", action="store_true", dest="expect_yes",
-                       help="exit 2 unless every verdict is certified-yes")
-        for flags, options in command.arguments:
+        own = [_ORDER, _SEED, _JSON, *command.arguments]
+        if command.failed is not None:
+            own.append(_EXPECT_YES)
+        for flags, options in ([spec for spec in _SHARED if spec in own]
+                               + [spec for spec in own if spec not in _SHARED]):
             p.add_argument(*flags, **options)
     return parser
 
@@ -363,17 +372,18 @@ class _Command(NamedTuple):
     """One subcommand: its help, extra arguments, compute and render.
 
     `compute(args, ring, item)` gives the result entry, less its name, of one
-    ideal or map, as `over` says, with seed, trials and bound in `args`
-    resolved against the file's options. With `over` None no file is read
-    and `compute(args)` builds the whole report. `render` gives one entry's
-    output lines; `failed` marks the entries that make --expect-yes exit 2.
+    ideal or map, as `over` says, with the seed, and the trials and bound of
+    the commands that take them, in `args` resolved against the file's
+    options. With `over` None no file is read and `compute(args)` builds the
+    whole report. `render` gives one entry's output lines; a command with
+    `failed` takes --expect-yes, which exits 2 when `failed` marks an entry.
     """
 
     help: str
     compute: Callable
     render: Callable[[dict], list[str]]
     over: str | None = "ideals"
-    failed: Callable[[dict], bool] = lambda entry: False
+    failed: Callable[[dict], bool] | None = None
     arguments: Sequence = ()  # (flags, options) pairs for add_argument
 
 
@@ -383,11 +393,12 @@ COMMANDS = {
     "vertices": _Command("staircase vertices of each ideal",
                          _run_vertices, _show_vertices),
     "hilbert": _Command("complement counts of each ideal up to --bound",
-                        _run_hilbert, _show_hilbert),
+                        _run_hilbert, _show_hilbert, arguments=[_BOUND]),
     "dim": _Command("quotient dimension of each ideal", _run_dim, _show_dim),
     "regseq": _Command("regular-sequence verdict per ideal; --bound adds an "
                        "axis certificate",
-                       _run_regseq, _show_regseq, failed=_not_yes),
+                       _run_regseq, _show_regseq, failed=_not_yes,
+                       arguments=[_TRIALS, _BOUND]),
     "flat-ci": _Command("flatness verdict for each map germ",
                         _run_flat_ci, _show_flat_ci, over="maps",
                         failed=_not_yes),
@@ -408,7 +419,8 @@ COMMANDS = {
         ]),
     "oracle-check": _Command("cross-validate the two staircase engines",
                              _run_oracle_check, _show_oracle_check,
-                             failed=lambda entry: not entry["agree"]),
+                             failed=lambda entry: not entry["agree"],
+                             arguments=[_BOUND]),
     "det-example": _Command(
         "determinant identity for the built-in family",
         _run_det_example, _show_det_example, over=None,
@@ -424,14 +436,12 @@ def _file_report(args, command):
     digest = hashlib.sha256(data).hexdigest()
     problem = parse_problem(data.decode("utf-8"),
                             order_override=_parse_order_flag(args.order))
-    # Flags override the file's options, which override the defaults.
-    options = problem.options
-    if args.seed is None:
-        args.seed = options.get("seed", _DEFAULT_SEED)
-    if args.trials is None:
-        args.trials = options.get("trials", _DEFAULT_TRIALS)
-    if args.bound is None:
-        args.bound = options.get("bound")
+    # Flags override the file's options, which override the defaults. A
+    # command reads only the options it takes flags for.
+    for name, default in (("seed", _DEFAULT_SEED), ("trials", _DEFAULT_TRIALS),
+                          ("bound", None)):
+        if name in vars(args) and getattr(args, name) is None:
+            setattr(args, name, problem.options.get(name, default))
     return {
         "command": args.command,
         "inputs": {
@@ -448,18 +458,21 @@ def _file_report(args, command):
 
 
 def _dispatch(args):
-    if args.bound is not None and args.bound < 0:
+    if getattr(args, "bound", None) is not None and args.bound < 0:
         raise _UsageError("--bound requires a nonnegative integer")
     if getattr(args, "length", None) is not None and args.length < 0:
         raise _UsageError("--len requires a nonnegative integer")
-    if args.trials is not None and args.trials < 1:
+    if getattr(args, "trials", None) is not None and args.trials < 1:
         raise _UsageError("--trials requires a positive integer")
     command = COMMANDS[args.command]
     if command.over is None:
         report = command.compute(args)
     else:
         report = _file_report(args, command)
-    return report, any(command.failed(entry) for entry in report["results"])
+    # Only the commands with `failed` take --expect-yes.
+    expect_failed = getattr(args, "expect_yes", False) and any(
+        command.failed(entry) for entry in report["results"])
+    return report, expect_failed
 
 
 def _render(report: dict, as_json: bool) -> str:
@@ -502,7 +515,7 @@ def main(argv=None) -> int:
     sys.stdout.write(_render(report, as_json=args.as_json))
     elapsed = time.perf_counter() - start
     print(f"elapsed {elapsed:.3f}s", file=sys.stderr)
-    return 2 if (args.expect_yes and expect_failed) else 0
+    return 2 if expect_failed else 0
 
 
 if __name__ == "__main__":

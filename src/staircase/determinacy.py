@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .core import CoordChange, Exponent, Poly, Ring, resolve_ring, total_degree
-from .diagram import Diagram, exponents_upto
+from .diagram import Diagram, axis_powers, exponents_upto
 from .standard_basis import diagram_of_ideal, standard_basis
 
 __all__ = [
@@ -174,13 +174,15 @@ def regular_sequence(gens, *, ring: Ring | None = None) -> Verdict:
     return Verdict.no(certificate)
 
 
-def random_coord_change(ring: Ring, rng: random.Random,
-                        entry_bound: int = 5) -> CoordChange:
+_ENTRY_BOUND = 5
+
+
+def random_coord_change(ring: Ring, rng: random.Random) -> CoordChange:
     """Seeded random invertible integer matrix acting on the variables."""
     size = ring.arity
     while True:
         rows = tuple(
-            tuple(Fraction(rng.randint(-entry_bound, entry_bound))
+            tuple(Fraction(rng.randint(-_ENTRY_BOUND, _ENTRY_BOUND))
                   for _ in range(size))
             for _ in range(size)
         )
@@ -190,22 +192,20 @@ def random_coord_change(ring: Ring, rng: random.Random,
             continue
 
 
-def _axis_exponent(arity: int, axis: int, power: int) -> Exponent:
-    return tuple(power if i == axis else 0 for i in range(arity))
-
-
 def regseq_axis_certificate(gens, *, trials: int = 8, seed: int = 0,
-                            bound: int = 12, entry_bound: int = 5,
+                            bound: int = 12,
                             ring: Ring | None = None) -> Verdict:
     """Search for pure-power staircase vertices on the first s axes.
 
     Trial 0 keeps the coordinates; later trials apply seeded random integer
     changes. Each trial reads the window of weighted length at most `bound`
-    from a Mora completion capped at bound + 1, which is exact there.
-    Finding a pure power of each of the first s axes inside the window
-    certifies the quotient dimension is at most m - s, hence the sequence is
-    regular; the certificate is self-validating. Absence of a witness is
-    only ever UnknownAtBound, never a negative.
+    from a Mora completion capped at bound + 1, which is exact there; its
+    vertices are shorter than bound + 1, so each axis's least pure-power
+    vertex is read off them. Finding a pure power of each of the first s
+    axes inside the window certifies the quotient dimension is at most
+    m - s, hence the sequence is regular; the certificate is
+    self-validating. Absence of a witness is only ever UnknownAtBound, never
+    a negative.
     """
     gens, ring = resolve_ring(gens, ring)
     if trials < 1:
@@ -227,25 +227,18 @@ def regseq_axis_certificate(gens, *, trials: int = 8, seed: int = 0,
     rng = random.Random(seed)
     for trial in range(trials):
         change = (CoordChange.identity(m) if trial == 0
-                  else random_coord_change(ring, rng, entry_bound))
+                  else random_coord_change(ring, rng))
         moved = [g.apply_coord_change(change) for g in nonzero]
         window = standard_basis(moved, ring=ring, length_cap=bound + 1).diagram
-        axes: list[Exponent] = []
-        for axis in range(s):
-            hit = None
-            for power in range(1, bound + 1):
-                e = _axis_exponent(m, axis, power)
-                if window.contains(e):
-                    hit = e
-                    break
-            if hit is None:
-                break
-            axes.append(hit)
-        if len(axes) == s:
+        powers = axis_powers(window.vertices, m)[:s]
+        if None not in powers:
+            # A vertex at the origin puts the first power of each axis inside.
+            axes = [[max(p, 1) if i == axis else 0 for i in range(m)]
+                    for axis, p in enumerate(powers)]
             matrix = [[int(c) if c.denominator == 1 else str(c) for c in row]
                       for row in change.matrix]
             return Verdict.yes({
-                "axis_vertices": [list(a) for a in axes],
+                "axis_vertices": axes,
                 "trial": trial,
                 "seed": seed,
                 "matrix": matrix,
@@ -294,13 +287,16 @@ def flat_ci(m: MapSpec) -> Verdict:
     return Verdict.no(certificate)
 
 
-def milnor_mu0(m: MapSpec) -> int | None:
-    """Length of the special fibre, None when it is not finite."""
-    d = diagram_of_ideal(fibre_ideal(m), ring=m.ring)
+def _fibre_length(d: Diagram) -> int | None:
     k = d.power_of_maximal()
     if k is None:
         return None
     return d.hilbert_samuel(k)
+
+
+def milnor_mu0(m: MapSpec) -> int | None:
+    """Length of the special fibre, None when it is not finite."""
+    return _fibre_length(diagram_of_ideal(fibre_ideal(m), ring=m.ring))
 
 
 def determinacy_bound(m: MapSpec, *, trials: int = 8, seed: int = 0,
@@ -374,14 +370,14 @@ def diagram_determinacy_check(m: MapSpec, psi) -> bool:
     psi = tuple(psi)
     if len(psi) != m.target_dim:
         raise ValueError("the perturbation must have the same number of components")
-    mu0 = milnor_mu0(m)
+    mine = diagram_of_ideal(fibre_ideal(m), ring=m.ring)
+    mu0 = _fibre_length(mine)
     if mu0 is None:
         raise ValueError("the fibre is not finite, no diagram bound applies")
     for p, q in zip(m.components, psi):
         if p.jet(mu0) != q.jet(mu0):
             raise ValueError(f"perturbation differs from the map below order {mu0}")
     other = MapSpec(m.ring, m.relations, psi)
-    mine = diagram_of_ideal(fibre_ideal(m), ring=m.ring)
     theirs = diagram_of_ideal(fibre_ideal(other), ring=m.ring)
     return mine == theirs
 
@@ -552,13 +548,16 @@ def _random_composition(rng: random.Random, total: int, parts: int) -> Exponent:
     return tuple(out)
 
 
-def _random_tail(rng: random.Random, ring: Ring, mu: int,
-                 max_terms: int = 3, coeff_bound: int = 3) -> Poly:
+_TAIL_MAX_TERMS = 3
+_TAIL_COEFFS = (-3, -2, -1, 1, 2, 3)
+
+
+def _random_tail(rng: random.Random, ring: Ring, mu: int) -> Poly:
     pairs = []
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, _TAIL_MAX_TERMS)):
         degree = rng.randint(mu + 1, mu + 3)
         exp = _random_composition(rng, degree, ring.arity)
-        coeff = rng.choice([c for c in range(-coeff_bound, coeff_bound + 1) if c])
+        coeff = rng.choice(_TAIL_COEFFS)
         pairs.append((exp, coeff))
     return Poly.from_terms(ring, pairs)
 

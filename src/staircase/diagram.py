@@ -16,6 +16,7 @@ from .core import Exponent, Order, exp_divides, total_degree
 
 __all__ = [
     "Diagram",
+    "axis_powers",
     "covering_length",
     "exponents_below",
     "exponents_upto",
@@ -41,6 +42,22 @@ def exponents_upto(arity: int, bound: int) -> list[Exponent]:
     return exponents_below(Order.unit(arity), bound + 1)
 
 
+def axis_powers(exps: Iterable[Exponent], arity: int) -> list[int | None]:
+    """Least pure power of each axis among exps, None where there is none.
+
+    The zero exponent is a pure power of every axis.
+    """
+    powers: list[int | None] = [None] * arity
+    for e in exps:
+        support = [i for i, x in enumerate(e) if x]
+        if len(support) > 1:
+            continue
+        for i in support or range(arity):
+            if powers[i] is None or e[i] < powers[i]:
+                powers[i] = e[i]
+    return powers
+
+
 def covering_length(exps: Iterable[Exponent], order: Order) -> int | None:
     """Least L with every exponent of length >= L in the staircase of exps.
 
@@ -50,15 +67,11 @@ def covering_length(exps: Iterable[Exponent], order: Order) -> int | None:
     pure powers, and L is one past the longest complement point there.
     """
     exps = list(exps)
-    axis_powers = []
-    for i in range(order.arity):
-        pures = [e[i] for e in exps
-                 if all(x == 0 for j, x in enumerate(e) if j != i)]
-        if not pures:
-            return None
-        axis_powers.append(min(pures))
+    powers = axis_powers(exps, order.arity)
+    if None in powers:
+        return None
     cap = 0
-    for point in product(*(range(p) for p in axis_powers)):
+    for point in product(*(range(p) for p in powers)):
         if not any(exp_divides(v, point) for v in exps):
             cap = max(cap, order.length(point) + 1)
     return cap

@@ -121,8 +121,8 @@ class MoraTrace:
                 kept[i] = unit
             if step.reducer in joined:
                 assert any(step.shift), "pooled reducer used with trivial shift"
-                monomial = Poly.from_terms(self.ring, [(step.shift, step.coeff)])
-                unit = unit - monomial * kept[joined[step.reducer]]
+                unit = unit._sub_shifted(step.coeff, step.shift,
+                                         kept[joined[step.reducer]])
         return unit
 
 

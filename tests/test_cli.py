@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from staircase import Order, Ring, diagram_of_ideal
-from staircase.cli import REPORT_SCHEMA, main
+from staircase.cli import COMMANDS, REPORT_SCHEMA, build_parser, main
 
 MAIN_FILE = dedent("""\
     ring x y
@@ -315,6 +315,33 @@ def test_usage_errors_with_file(capsys, files):
     code, out, _ = run(capsys, ["hilbert", files["main"], "--bound", "0"])
     assert code == 0
     assert ": H(0..0) = 1\n" in out
+
+
+# The commands that read each flag; every other command rejects it.
+FLAG_READERS = {
+    "--trials": {"regseq"},
+    "--bound": {"hilbert", "regseq", "oracle-check"},
+    "--expect-yes": {"regseq", "flat-ci", "oracle-check", "det-example"},
+}
+REQUIRED_ARGS = {"jet": ["--mu", "4"], "sweep": ["--mu", "5..6"]}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_READERS))
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_commands_take_only_the_flags_they_read(capsys, files, command, flag):
+    argv = [command] + ([files["main"]] if COMMANDS[command].over else [])
+    argv += REQUIRED_ARGS.get(command, []) + [flag]
+    if flag != "--expect-yes":
+        argv.append("2")
+    if command in FLAG_READERS[flag]:
+        args = build_parser().parse_args(argv)
+        assert vars(args)[flag[2:].replace("-", "_")] in (2, True)
+        return
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err
+    assert flag in err
 
 
 def test_pool_ceiling_exit_code(capsys, files, monkeypatch):

@@ -12,7 +12,7 @@ from staircase import (
     exponents_below,
     exponents_upto,
 )
-from staircase.diagram import covering_length
+from staircase.diagram import axis_powers, covering_length
 
 
 def test_enumerators_are_ordered():
@@ -156,6 +156,20 @@ def test_covering_length_is_least_under_random_weights():
         least = next(cap for cap in range(100) if all(
             d.contains(e) for e in box if order.length(e) >= cap))
         assert covering_length(exps, order) == least
+
+
+def test_axis_powers_are_the_least_pure_powers_inside():
+    rng = random.Random(409)
+    for _ in range(150):
+        arity = rng.randint(1, 3)
+        exps = [tuple(rng.choice([0, 0, rng.randint(1, 4)])
+                      for _ in range(arity))
+                for _ in range(rng.randint(0, 4))]
+        d = Diagram.from_exponents(exps, arity=arity)
+        inside = [[p for p in range(5)
+                   if d.contains(tuple(p if j == i else 0 for j in range(arity)))]
+                  for i in range(arity)]
+        assert axis_powers(exps, arity) == [min(ps, default=None) for ps in inside]
 
 
 def test_hilbert_vector_matches_pointwise_counts():
