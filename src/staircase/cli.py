@@ -442,6 +442,13 @@ def _file_report(args, command):
                           ("bound", None)):
         if name in vars(args) and getattr(args, name) is None:
             setattr(args, name, problem.options.get(name, default))
+    # Checked once the options are resolved, so flags and option lines agree.
+    if getattr(args, "bound", None) is not None and args.bound < 0:
+        raise _UsageError("--bound requires a nonnegative integer")
+    if getattr(args, "length", None) is not None and args.length < 0:
+        raise _UsageError("--len requires a nonnegative integer")
+    if getattr(args, "trials", None) is not None and args.trials < 1:
+        raise _UsageError("--trials requires a positive integer")
     return {
         "command": args.command,
         "inputs": {
@@ -458,12 +465,6 @@ def _file_report(args, command):
 
 
 def _dispatch(args):
-    if getattr(args, "bound", None) is not None and args.bound < 0:
-        raise _UsageError("--bound requires a nonnegative integer")
-    if getattr(args, "length", None) is not None and args.length < 0:
-        raise _UsageError("--len requires a nonnegative integer")
-    if getattr(args, "trials", None) is not None and args.trials < 1:
-        raise _UsageError("--trials requires a positive integer")
     command = COMMANDS[args.command]
     if command.over is None:
         report = command.compute(args)

@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .core import CoordChange, Exponent, Poly, Ring, resolve_ring, total_degree
-from .diagram import Diagram, axis_powers, exponents_upto
+from .diagram import Diagram, axis_powers
 from .standard_basis import diagram_of_ideal, standard_basis
 
 __all__ = [
@@ -412,11 +412,11 @@ def jet_sweep(gens, mu_min: int, mu_max: int, *, length_bound: int | None = None
     """Compare the staircases of the jet ideals against the full ideal.
 
     Each row carries the exact staircase of the ideal of mu-jets, its slice
-    (the vertices of weighted length at most `length_bound`), equality
-    flags, the quotient dimension, complement counts, and the minimal
-    exponents of total degree at most `length_bound` gained over the base
-    staircase. The summary only ever reports stabilization observed inside
-    the range.
+    (the vertices of total degree at most `length_bound`), equality flags up
+    to that degree, the quotient dimension, complement counts, and the slice
+    vertices that the base staircase lacks. Every column measures total
+    degree, the unit in which jets are cut, whatever the ring's order. The
+    summary only ever reports stabilization observed inside the range.
     """
     gens, ring = resolve_ring(gens, ring)
     if mu_min > mu_max:
@@ -425,35 +425,26 @@ def jet_sweep(gens, mu_min: int, mu_max: int, *, length_bound: int | None = None
         length_bound = mu_max + 3
     if length_bound < 0:
         raise ValueError("the length bound must be nonnegative")
-    length = ring.order.length
     base = diagram_of_ideal(gens, ring=ring)
-    in_base = [(e, base.contains(e))
-               for e in exponents_upto(ring.arity, length_bound)]
+    base_slice = [v for v in base.vertices if total_degree(v) <= length_bound]
     rows: list[SweepRow] = []
     for mu in range(mu_min, mu_max + 1):
-        jets = jet_ideal(gens, mu)
-        exact = diagram_of_ideal(jets, ring=ring)
-        # A base point of total degree <= L lies above a base vertex of total
-        # degree <= L, so losing no point means containing those vertices.
-        gained: list[Exponent] = []
-        lost: list[Exponent] = []
-        for e, b in in_base:
-            if exact.contains(e) != b:
-                (lost if b else gained).append(e)
+        exact = diagram_of_ideal(jet_ideal(gens, mu), ring=ring)
+        # A least point of degree <= L in one staircase only is its vertex.
+        window = tuple(
+            v for v in exact.vertices if total_degree(v) <= length_bound)
+        new = tuple(v for v in window if not base.contains(v))
+        lost = any(not exact.contains(v) for v in base_slice)
         rows.append(SweepRow(
             mu=mu,
             vertices=exact.vertices,
-            # A point of the slice lies above a vertex no longer than
-            # itself, so the slice's vertices are the short exact vertices.
-            window_vertices=tuple(
-                v for v in exact.vertices if length(v) <= length_bound),
+            window_vertices=window,
             equal=exact == base,
-            equal_upto_bound=not (gained or lost),
+            equal_upto_bound=not (new or lost),
             contains_base=not lost,
             quotient_dimension=exact.quotient_dimension(),
             hilbert=tuple(exact.hilbert_vector(length_bound)),
-            new_on_window=Diagram.from_exponents(
-                gained, arity=ring.arity).vertices,
+            new_on_window=new,
         ))
     stabilized_at = None
     for row in reversed(rows):

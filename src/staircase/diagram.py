@@ -3,7 +3,8 @@
 A diagram is a subset G of N^m with G + N^m = G; it is determined by its
 minimal elements under the componentwise order, and that antichain is the
 stored data. Diagram queries measure unweighted total length; the exponent
-enumerator and the covering length take the order whose length they use.
+enumerator, the covering length and `first_difference` take the order whose
+length they use.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "covering_length",
     "exponents_below",
     "exponents_upto",
+    "first_difference",
 ]
 
 
@@ -176,12 +178,21 @@ class Diagram:
 
     def equal_upto(self, other: "Diagram", bound: int) -> bool:
         """Membership agreement for every exponent of length at most bound."""
-        if self.arity != other.arity:
-            raise ValueError("diagrams have different arities")
-        for e in exponents_upto(self.arity, bound):
-            if self.contains(e) != other.contains(e):
-                return False
-        return True
+        return first_difference(self, other, Order.unit(self.arity), bound + 1) is None
 
     def to_lists(self) -> list[list[int]]:
         return [list(v) for v in self.vertices]
+
+
+def first_difference(a: Diagram, b: Diagram, order: Order,
+                     bound: int) -> Exponent | None:
+    """Order-least exponent of length below bound in just one diagram, or None.
+
+    It is a vertex of the diagram holding it: a proper divisor is shorter
+    under positive weights, so it would come first and differ too.
+    """
+    if a.arity != b.arity:
+        raise ValueError("diagrams have different arities")
+    lacking = [v for mine, other in ((a, b), (b, a)) for v in mine.vertices
+               if order.length(v) < bound and not other.contains(v)]
+    return min(lacking, key=order.key, default=None)

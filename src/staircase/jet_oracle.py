@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import Exponent, Poly, Ring, exp_add, resolve_ring
-from .diagram import Diagram, exponents_below
+from .diagram import Diagram, exponents_below, first_difference
 from .standard_basis import standard_basis
 
 __all__ = [
@@ -164,11 +164,7 @@ def oracle_cross_check(gens, bound: int, *, ring: Ring | None = None) -> CrossCh
     gens, ring = resolve_ring(gens, ring)
     window = truncated_diagram(gens, bound, ring=ring)
     exact = standard_basis(gens, ring=ring, length_cap=bound).diagram
-    first = None
-    for e in exponents_below(ring.order, bound):
-        if window.contains(e) != exact.contains(e):
-            first = e
-            break
+    first = first_difference(window, exact, ring.order, bound)
     return CrossCheckReport(
         agree=first is None,
         first_difference=first,

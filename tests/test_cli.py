@@ -294,7 +294,7 @@ def test_usage_errors(capsys, files, argv):
     assert "usage error" in err
 
 
-def test_usage_errors_with_file(capsys, files):
+def test_usage_errors_with_file(capsys, files, tmp_path):
     for argv in (
         ["jet", files["main"], "--mu", "5..7"],
         ["sweep", files["main"], "--mu", "7..5"],
@@ -311,6 +311,13 @@ def test_usage_errors_with_file(capsys, files):
         assert "usage error" in err
         if "--bound" in argv:
             assert "--bound" in err
+    # An option line gets the same check as the flag it stands for.
+    zero_trials = tmp_path / "zero-trials.txt"
+    zero_trials.write_text(MAIN_FILE.replace(
+        "option seed 7\n", "option seed 7\noption trials 0\n"))
+    code, _, err = run(capsys, ["regseq", str(zero_trials), "--bound", "4"])
+    assert code == 1
+    assert "usage error: --trials requires a positive integer" in err
     # A window needs length 1, but H(0..0) is a fine question.
     code, out, _ = run(capsys, ["hilbert", files["main"], "--bound", "0"])
     assert code == 0

@@ -12,7 +12,7 @@ from staircase import (
     exponents_below,
     exponents_upto,
 )
-from staircase.diagram import axis_powers, covering_length
+from staircase.diagram import axis_powers, covering_length, first_difference
 
 
 def test_enumerators_are_ordered():
@@ -191,6 +191,35 @@ def test_equal_upto():
     assert d.equal_upto(e, 1)
     assert not d.equal_upto(e, 2)
     assert d.equal_upto(d, 100)
+
+
+def test_first_difference_matches_the_window_walk():
+    rng = random.Random(413)
+    differ = beyond = weighted_first = 0
+    for _ in range(1500):
+        arity = rng.randint(1, 4)
+        order = Order(tuple(rng.randint(1, 3) for _ in range(arity)))
+        # Two subsets of one pool of points, so the diagrams share vertices.
+        pool = [tuple(rng.randint(0, 3) for _ in range(arity))
+                for _ in range(rng.randint(1, 8))]
+        a, b = (Diagram.from_exponents(
+            [p for p in pool if rng.random() < 0.7], arity=arity)
+            for _ in range(2))
+        bound = rng.randint(0, 9)
+        diffs = [e for e in exponents_below(order, bound)
+                 if a.contains(e) != b.contains(e)]
+        walked = diffs[0] if diffs else None
+        assert first_difference(a, b, order, bound) == walked
+        assert first_difference(b, a, order, bound) == walked
+        differ += bool(diffs)
+        beyond += not diffs and a != b
+        weighted_first += bool(diffs) and walked != min(
+            diffs, key=lambda e: (sum(e), e))
+    # Pairs that differ only past the bound, and pairs whose first difference
+    # under the weights is not the first by total degree.
+    assert differ and beyond and weighted_first
+    with pytest.raises(ValueError, match="different arities"):
+        first_difference(Diagram(1, ()), Diagram(2, ()), Order.unit(2), 3)
 
 
 def test_to_lists():
