@@ -65,11 +65,13 @@ from .jet_oracle import (
 from .problemfile import ProblemError, ProblemFile, parse_poly, parse_problem
 from .standard_basis import (
     DEFAULT_POOL_CEILING,
+    DEFAULT_WORK_BUDGET,
     MoraStep,
     MoraTrace,
     PoolLimitExceeded,
     SBasis,
     SPairRecord,
+    WorkBudgetExceeded,
     diagram_of_ideal,
     mora_normal_form,
     standard_basis,

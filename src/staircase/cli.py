@@ -1,9 +1,10 @@
 """Command line front end: problem files in, tables or JSON reports out.
 
 Exit codes: 0 the command ran, 1 usage or parse error, 2 the verdict was not
-certified-yes although --expect-yes asked for one, 3 the reducer pool
-ceiling was hit. Timing goes to stderr so the stdout body is byte-identical
-across runs with the same file and flags.
+certified-yes although --expect-yes asked for one, 3 a resource limit was
+hit: the reducer pool ceiling, or the work budget with no certified highest
+corner. Timing goes to stderr so the stdout body is byte-identical across
+runs with the same file and flags.
 """
 
 from __future__ import annotations
@@ -47,11 +48,15 @@ REPORT_SCHEMA = {
 
 _DEFAULT_SEED = 0
 _DEFAULT_TRIALS = 8
-_DEFAULT_SLICE_BOUND = 8
+_DEFAULT_BOUND = 8
 
 
 class _UsageError(Exception):
     pass
+
+
+class _ResourceError(Exception):
+    """A resource limit, with the ideal or map that hit it."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,7 +70,9 @@ _SEED = (("--seed",), {"type": int, "default": None,
 _TRIALS = (("--trials",), {"type": int, "default": None,
                            "help": "coordinate-change trials (default 8)"})
 _BOUND = (("--bound",), {"type": int, "default": None,
-                         "help": "length or slice bound"})
+                         "help": "top k of H(0..k) for hilbert, window length "
+                                 "for regseq and oracle-check (default 8, "
+                                 "except regseq)"})
 _JSON = (("--json",), {"action": "store_true", "dest": "as_json",
                        "help": "emit the report as JSON"})
 _EXPECT_YES = (("--expect-yes",), {
@@ -180,7 +187,7 @@ def _show_vertices(entry):
 
 
 def _run_hilbert(args, ring, gens):
-    top = args.bound if args.bound is not None else _DEFAULT_SLICE_BOUND
+    top = args.bound if args.bound is not None else _DEFAULT_BOUND
     # Exponents of total degree <= top have weighted length below this cap,
     # and the capped diagram is exact there.
     cap = top * max(ring.order.weights) + 1
@@ -314,7 +321,7 @@ def _show_sweep(entry):
 
 def _run_oracle_check(args, ring, gens):
     top = _window_bound(args, args.bound if args.bound is not None
-                        else _DEFAULT_SLICE_BOUND)
+                        else _DEFAULT_BOUND)
     rep = oracle_cross_check(gens, top, ring=ring)
     return {
         "bound": top,
@@ -459,9 +466,17 @@ def _file_report(args, command):
         },
         "seed": args.seed,
         "order": list(problem.ring.order.weights),
-        "results": [{"name": name, **command.compute(args, problem.ring, item)}
+        "results": [_compute(args, command, problem.ring, name, item)
                     for name, item in getattr(problem, command.over).items()],
     }
+
+
+def _compute(args, command, ring, name, item):
+    try:
+        return {"name": name, **command.compute(args, ring, item)}
+    except PoolLimitExceeded as exc:
+        kind = command.over[:-1]  # "ideals" -> "ideal", "maps" -> "map"
+        raise _ResourceError(f"{kind} {name}: {exc}") from exc
 
 
 def _dispatch(args):
@@ -507,7 +522,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 1
-    except PoolLimitExceeded as exc:
+    except _ResourceError as exc:
         print(f"resource ceiling: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

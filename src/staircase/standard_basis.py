@@ -10,7 +10,8 @@ chosen reducer's ecart exceeds its own. Each such self-reduction multiplies
 the input by a unit of the local ring, which the trace rebuilds exactly from
 the recorded steps on first access. For polynomial input the procedure
 terminates; a configurable pool ceiling turns pathological blowups into a
-clean resource error instead of a hang.
+clean resource error instead of a hang, and so does a work budget on the
+size of the intermediate result while no length cap bounds it.
 
 The Buchberger-style completion processes s-pairs in ascending lcm order and
 skips pairs with coprime initial exponents; both are sound for these orders.
@@ -22,6 +23,15 @@ cap cuts before the merge: the divider shifts only the part of a reducer that
 lands below it, and the completion builds only the part of an s-polynomial
 below it, so no deep term is ever computed. Deleting terms commutes with
 shifting, scaling and subtracting, so the results are those of cutting after.
+
+When the uncapped completion outgrows the work budget before its staircase
+has a finite complement, it restarts with a length cap B and certifies the
+capped result by the highest corner (Greuel-Pfister, A Singular Introduction
+to Commutative Algebra, 1.7): if the capped staircase covers every monomial
+of length L and L + max(w) <= B, then J_B lies in m*J_L, so J_L lies in the
+ideal by Nakayama, the cap changes nothing, and the capped basis is a
+standard basis of the ideal itself. An ideal whose complement is infinite
+never certifies and ends in the resource error.
 """
 
 from __future__ import annotations
@@ -39,8 +49,11 @@ from .diagram import Diagram, covering_length
 
 __all__ = [
     "DEFAULT_POOL_CEILING",
+    "DEFAULT_WORK_BUDGET",
     "POOL_CEILING_ENV",
+    "WORK_BUDGET_ENV",
     "PoolLimitExceeded",
+    "WorkBudgetExceeded",
     "MoraStep",
     "MoraTrace",
     "SPairRecord",
@@ -52,10 +65,19 @@ __all__ = [
 
 DEFAULT_POOL_CEILING = 10000
 POOL_CEILING_ENV = "STAIRCASE_POOL_CEILING"
+DEFAULT_WORK_BUDGET = 100000
+WORK_BUDGET_ENV = "STAIRCASE_WORK_BUDGET"
+# Capped rounds that may pass without a certified highest corner before the
+# work budget's resource error is raised.
+_CERTIFY_ROUNDS = 8
 
 
 class PoolLimitExceeded(RuntimeError):
-    """The Mora reducer pool outgrew the configured ceiling."""
+    """The Mora reducer pool outgrew the configured ceiling.
+
+    Also the base of the other resource errors, which the command line
+    reports with exit code 3.
+    """
 
     def __init__(self, limit: int):
         super().__init__(
@@ -65,18 +87,37 @@ class PoolLimitExceeded(RuntimeError):
         self.limit = limit
 
 
-def _resolve_ceiling(explicit: int | None) -> int:
+class WorkBudgetExceeded(PoolLimitExceeded):
+    """Uncapped Mora work outgrew the budget, and no capped round certified.
+
+    `rounds` is the number of capped rounds that ran without a certified
+    highest corner, or None when the budget ran out in a bare normal form.
+    """
+
+    def __init__(self, limit: int, rounds: int | None = None):
+        RuntimeError.__init__(
+            self,
+            f"Mora work exceeded the budget of {limit}"
+            + ("" if rounds is None else
+               f" and {rounds} capped rounds certified no highest corner")
+            + f"; raise {WORK_BUDGET_ENV} to run uncapped longer"
+        )
+        self.limit = limit
+        self.rounds = rounds
+
+
+def _resolve_limit(explicit: int | None, env_name: str, default: int) -> int:
     if explicit is not None:
         return int(explicit)
-    env = os.environ.get(POOL_CEILING_ENV)
+    env = os.environ.get(env_name)
     if env:
         try:
             return int(env)
         except ValueError:
             raise ValueError(
-                f"{POOL_CEILING_ENV} must be an integer, got {env!r}"
+                f"{env_name} must be an integer, got {env!r}"
             ) from None
-    return DEFAULT_POOL_CEILING
+    return default
 
 
 @dataclass(frozen=True)
@@ -159,6 +200,7 @@ def mora_normal_form(
     f: Poly, reducers, *,
     pool_ceiling: int | None = None,
     length_cap: int | None = None,
+    work_budget: int | None = None,
 ) -> tuple[Poly, MoraTrace]:
     """Weak normal form of f against the reducers.
 
@@ -174,6 +216,11 @@ def mora_normal_form(
     certifies this from the partial staircase), and the result is exact, or
     the caller computes in the quotient by J_B on purpose, as
     `standard_basis` does when given a length_cap.
+
+    Without a length_cap nothing bounds the intermediate result, so after
+    each step its size, terms times the bits of the initial coefficient, is
+    held to the work budget (explicit, else $STAIRCASE_WORK_BUDGET, else
+    DEFAULT_WORK_BUDGET); past it WorkBudgetExceeded is raised.
     """
     reducers = list(reducers)
     ring = f.ring
@@ -182,7 +229,10 @@ def mora_normal_form(
             raise ValueError("reducers must be polynomials in the same ring")
         if g.is_zero:
             raise ValueError("zero polynomials cannot be reducers")
-    ceiling = _resolve_ceiling(pool_ceiling)
+    ceiling = _resolve_limit(pool_ceiling, POOL_CEILING_ENV,
+                             DEFAULT_POOL_CEILING)
+    budget = (None if length_cap is not None else
+              _resolve_limit(work_budget, WORK_BUDGET_ENV, DEFAULT_WORK_BUDGET))
     order = ring.order
     key = order.key
     pool = [
@@ -219,6 +269,12 @@ def mora_normal_form(
         # its initial term lands on hexp and survives the cut.
         h = h._sub_shifted(coeff, shift, _below(chosen.poly, shift, length_cap))
         steps.append(MoraStep(chosen.label, shift, coeff))
+        if budget is not None and h.terms:
+            c = h.terms[0][1]
+            size = len(h.terms) * (c.numerator.bit_length()
+                                   + c.denominator.bit_length())
+            if size > budget:
+                raise WorkBudgetExceeded(budget)
     assert h.is_zero or all(
         not exp_divides(entry.inexp, h.initial_exponent()) for entry in pool
     )
@@ -253,9 +309,23 @@ def _spoly(f: Poly, g: Poly, cap: int | None) -> Poly:
     return fa._sub_shifted(1 / g.initial_coefficient(), sb, _below(g, sb, cap))
 
 
+def _unit_free(f: Poly) -> Poly:
+    """x^d when f is x^d times a unit, which spans the same local ideal.
+
+    f is x^d*u with u(0) != 0 exactly when its initial exponent d is the
+    componentwise minimum of its support.
+    """
+    if not f.terms:
+        return f
+    d = f.initial_exponent()
+    if tuple(map(min, zip(*(e for e, _ in f.terms)))) != d:
+        return f
+    return f.ring.monomial(d)
+
+
 def standard_basis(
     gens, *, ring: Ring | None = None, pool_ceiling: int | None = None,
-    length_cap: int | None = None,
+    length_cap: int | None = None, work_budget: int | None = None,
 ) -> SBasis:
     """Complete the generators to a standard basis and read off the staircase.
 
@@ -266,14 +336,44 @@ def standard_basis(
     and in(I) agree below length B, so the diagram is exact below the cap,
     and every reduction runs in the finite window below B and terminates.
     The basis omits the monomials of J_B, which enter only through the cap,
-    so every vertex of that diagram is shorter than B. Zero generators are
-    dropped, also those that the cap empties; basis elements are content
-    normalized; s-pairs are processed ascending by lcm so reruns are
-    reproducible.
+    so every vertex of that diagram is shorter than B. A generator x^d*u
+    with u a unit enters as x^d. Zero generators are dropped, also those
+    that the cap empties; basis elements are content normalized; s-pairs are
+    processed ascending by lcm so reruns are reproducible.
+
+    Without a length_cap, Mora runs under the work budget (see
+    `mora_normal_form`) until the staircase has a finite complement. On a
+    breach the completion reruns capped, from B = 1 + max(w): a round whose
+    staircase covers length L with L + max(w) <= B certifies the highest
+    corner and is returned, a round that shows L moves B to L + max(w), and
+    one that shows none moves B up by max(w). After _CERTIFY_ROUNDS (8) rounds
+    without a certificate WorkBudgetExceeded is raised.
     """
     gens, ring = resolve_ring(gens, ring)
     if length_cap is not None and length_cap < 1:
         raise ValueError("the length cap must be at least 1")
+    gens = [_unit_free(f) for f in gens]
+    if length_cap is not None:
+        return _complete(gens, ring, pool_ceiling, length_cap, None)
+    budget = _resolve_limit(work_budget, WORK_BUDGET_ENV, DEFAULT_WORK_BUDGET)
+    try:
+        return _complete(gens, ring, pool_ceiling, None, budget)
+    except WorkBudgetExceeded:
+        pass
+    step = max(ring.order.weights)
+    cap = 1 + step
+    for _ in range(_CERTIFY_ROUNDS):
+        sb = _complete(gens, ring, pool_ceiling, cap, None)
+        corner = covering_length(sb.diagram.vertices, ring.order)
+        if corner is not None and corner + step <= cap:
+            return sb
+        cap = cap + step if corner is None else corner + step
+    raise WorkBudgetExceeded(budget, _CERTIFY_ROUNDS)
+
+
+def _complete(gens: list[Poly], ring: Ring, pool_ceiling: int | None,
+              length_cap: int | None, work_budget: int | None) -> SBasis:
+    """The completion loop of `standard_basis`, capped or under the budget."""
     basis: list[Poly] = [
         g.content_normalized()
         for g in (_below(f, (0,) * ring.arity, length_cap) for f in gens)
@@ -311,7 +411,8 @@ def standard_basis(
             records.append(SPairRecord(0, True, None))
             continue
         remainder, trace = mora_normal_form(
-            s, basis, pool_ceiling=pool_ceiling, length_cap=cap)
+            s, basis, pool_ceiling=pool_ceiling, length_cap=cap,
+            work_budget=work_budget)
         if remainder.is_zero:
             records.append(SPairRecord(len(trace.steps), True, None))
             continue

@@ -1,6 +1,9 @@
 """End-to-end command line behavior: bodies, reports, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from textwrap import dedent
 
@@ -49,12 +52,30 @@ POOL_FILE = dedent("""\
 
 BAD_FILE = "ring x y\nideal I\n  x^\n"
 
+# The truncated series family to depth 28, with the benchmark's seed-1 signs.
+SERIES_FILE = "ring x y\nideal S\n  x^3*y" + "".join(
+    f" {'-+'[k % 2]} x*y^{k}" for k in range(4, 28)) + "\n  -x^2*y^3" + "".join(
+    f" {'+-'[k % 2]} y^{k}" for k in range(6, 29)) + "\n"
+
+SMALL3_FILE = dedent("""\
+    ring x y z
+    ideal A
+      x^2 - y*z^2 + x*y*z
+      x*z - y^3 - 2*x^2*y
+      -x*y - y^2*z + z^4
+    ideal B
+      -x*y + z^3
+      y^2*z + x^3 - z^4
+      x*z^2 + y^4
+""")
+
 
 @pytest.fixture
 def files(tmp_path):
     paths = {}
     for name, text in [("main", MAIN_FILE), ("good", GOOD_MAP_FILE),
-                       ("pool", POOL_FILE), ("bad", BAD_FILE)]:
+                       ("pool", POOL_FILE), ("bad", BAD_FILE),
+                       ("series", SERIES_FILE), ("small3", SMALL3_FILE)]:
         path = tmp_path / f"{name}.txt"
         path.write_text(text)
         paths[name] = str(path)
@@ -356,7 +377,40 @@ def test_pool_ceiling_exit_code(capsys, files, monkeypatch):
     code, out, err = run(capsys, ["diagram", files["pool"]])
     assert code == 3
     assert out == ""
-    assert "resource ceiling" in err
+    assert "resource ceiling: ideal J: " in err
+    assert "STAIRCASE_POOL_CEILING" in err
+
+
+def run_process(argv):
+    """The CLI in a fresh process, stopped after 20 s."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run([sys.executable, "-m", "staircase.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=20)
+
+
+def test_uncertified_ideal_exits_3_naming_it_and_the_budget(files):
+    # Under weights (3,1) the series ideal has an infinite complement, so
+    # its uncapped completion runs away and no capped round certifies it.
+    done = run_process(["sweep", files["series"], "--mu", "5..8",
+                        "--order", "3,1"])
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith(
+        "resource ceiling: ideal S: Mora work exceeded the budget of 100000 ")
+    assert "STAIRCASE_WORK_BUDGET" in done.stderr
+
+
+def test_budget_breach_certifies_and_answers(files):
+    # Ideal A runs away uncapped under weights (2,1,3); a capped round
+    # certifies its staircase.
+    done = run_process(["regseq", files["small3"], "--bound", "6",
+                        "--order", "2,1,3"])
+    assert done.returncode == 0
+    assert "ideal A: certified-yes" in done.stdout
+    assert "ideal B: certified-yes" in done.stdout
 
 
 # Full human and JSON stdout of every command on MAIN_FILE. Stdout is part

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from staircase import (
+    CoordChange,
     MoraTrace,
     Order,
     PoolLimitExceeded,
     Poly,
     Ring,
     TruncationBasis,
+    WorkBudgetExceeded,
     diagram_of_ideal,
     exp_divides,
     exp_lcm,
@@ -32,6 +34,10 @@ from helpers import (
 RING = Ring(("x", "y"))
 X = RING.variable("x")
 Y = RING.variable("y")
+RING3 = Ring(("x", "y", "z"))
+X3, Y3, Z3 = (RING3.variable(v) for v in "xyz")
+RING212 = Ring(("x", "y", "z"), order=Order((2, 1, 2)))
+X212, Y212, Z212 = (RING212.variable(v) for v in "xyz")
 
 
 def test_mora_pinned_unit_example():
@@ -217,6 +223,102 @@ def test_pool_ceiling_explicit_env_and_default(monkeypatch):
     monkeypatch.setenv("STAIRCASE_POOL_CEILING", "not a number")
     with pytest.raises(ValueError):
         standard_basis(gens)
+
+
+def test_unit_times_monomial_generators_enter_as_the_monomial():
+    # x*(4 + 2y^5) spans the ideal of x in the local ring.
+    sb = standard_basis([X * (4 + 2 * Y ** 5)])
+    assert sb.basis == (X,)
+    assert sb.diagram.vertices == ((1, 0),)
+    # x*(x + y) is no unit multiple: its initial term xy is not the
+    # componentwise minimum x of its support.
+    assert standard_basis([X * (X + Y)]).basis == (X * Y + X ** 2,)
+
+
+def test_mora_treadmill_ends_in_the_work_budget():
+    # A unit reducer whose ecart never exceeds the intermediate's pools
+    # nothing, so without a length cap the series grows without end.
+    ring = Ring(("x", "y", "z"), order=Order((2, 1, 1)))
+    x, y, z = (ring.variable(v) for v in "xyz")
+    f = -1 - 2 * y * z - 2 * x * z - 4 * x ** 3
+    reducers = [-3 + 3 * y - 6 * y ** 2 * z, -4 * y - y * z - 6 * x * z]
+    with pytest.raises(WorkBudgetExceeded) as caught:
+        mora_normal_form(f, reducers)
+    assert caught.value.limit == 100000
+    assert caught.value.rounds is None
+    assert isinstance(caught.value, PoolLimitExceeded)
+    # A length cap bounds the series, and the budget does not apply.
+    mora_normal_form(f, reducers, length_cap=6, work_budget=0)
+
+
+def test_work_budget_explicit_env_and_uncertified_ideals(monkeypatch):
+    # y*(x - y^2, x^2) has an infinite complement: it completes within the
+    # default budget, but after a breach no capped round can certify it.
+    gens = [X * Y - Y ** 3, X ** 2 * Y]
+    assert standard_basis(gens).diagram.vertices == ((1, 1), (0, 5))
+    with pytest.raises(WorkBudgetExceeded) as caught:
+        standard_basis(gens, work_budget=0)
+    assert (caught.value.limit, caught.value.rounds) == (0, 8)
+    assert "STAIRCASE_WORK_BUDGET" in str(caught.value)
+    monkeypatch.setenv("STAIRCASE_WORK_BUDGET", "0")
+    with pytest.raises(WorkBudgetExceeded):
+        standard_basis(gens)
+    assert standard_basis(gens, work_budget=10 ** 6).diagram.vertices == (
+        (1, 1), (0, 5))
+    monkeypatch.setenv("STAIRCASE_WORK_BUDGET", "not a number")
+    with pytest.raises(ValueError):
+        standard_basis(gens)
+
+
+def _invertible(rows) -> bool:
+    try:
+        CoordChange(rows)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def moved_m_primary_ideals(draw):
+    """Pure powers x_i^a_i and one extra generator in linearly moved
+    coordinates, with a length C past every vertex of the staircase.
+
+    m^D lies in the ideal for D = sum(a_i - 1) + 1, so J_B does for
+    B = D * max(w); a vertex's divisors lie outside, so it is shorter than
+    C = B + max(w).
+    """
+    arity = draw(st.integers(2, 3))
+    weights = tuple(draw(st.integers(1, 3)) for _ in range(arity))
+    ring = Ring(tuple("xyz")[:arity], order=Order(weights))
+    powers = [draw(st.integers(1, 3)) for _ in range(arity)]
+    gens = [ring.monomial(tuple(a if j == i else 0 for j in range(arity)))
+            for i, a in enumerate(powers)]
+    exponent = st.tuples(*[st.integers(0, 3)] * arity)
+    coeff = st.integers(-3, 3).filter(bool)
+    gens.append(draw(st.lists(st.tuples(exponent, coeff), min_size=1,
+                              max_size=3)
+                     .map(lambda pairs: Poly.from_terms(ring, pairs))))
+    row = st.tuples(*[st.integers(-2, 2)] * arity)
+    rows = draw(st.tuples(*[row] * arity).filter(_invertible))
+    change = CoordChange(rows)
+    moved = [g.apply_coord_change(change) for g in gens]
+    cover = (sum(a - 1 for a in powers) + 2) * max(weights)
+    return ring, [g for g in moved if not g.is_zero], cover
+
+
+@settings(max_examples=60, deadline=None)
+@given(moved_m_primary_ideals())
+# Every generator's initial term is a power of z, so the completion runs
+# uncapped and breaches the zero budget.
+@example((RING3, [X3 + Z3, Y3 + Z3, Z3 ** 2], 3))
+# A capped round shows a covering length past its cap; returning it would
+# miss the vertex (2,0,3).
+@example((RING212, [(Y212 + Z212) ** 3, Y212 ** 2, (X212 + Y212) ** 3], 14))
+def test_certified_fallback_gives_the_exact_diagram(ideal):
+    ring, gens, cover = ideal
+    # Capped past every vertex, the completion is exact.
+    exact = standard_basis(gens, ring=ring, length_cap=cover).diagram
+    assert standard_basis(gens, ring=ring, work_budget=0).diagram == exact
 
 
 def test_length_cap_validation_and_deep_generators():
