@@ -73,16 +73,16 @@ _CERTIFY_ROUNDS = 8
 
 
 class PoolLimitExceeded(RuntimeError):
-    """The Mora reducer pool outgrew the configured ceiling.
+    """A Mora resource limit was crossed, by default the pool ceiling.
 
-    Also the base of the other resource errors, which the command line
-    reports with exit code 3.
+    The reducer pool raises it directly; WorkBudgetExceeded refines it with
+    its own message. The command line reports both with exit code 3.
     """
 
-    def __init__(self, limit: int):
+    def __init__(self, limit: int, message: str | None = None):
         super().__init__(
-            f"reducer pool exceeded the ceiling of {limit}; "
-            f"raise {POOL_CEILING_ENV} to allow more"
+            message or f"reducer pool exceeded the ceiling of {limit}; "
+                       f"raise {POOL_CEILING_ENV} to allow more"
         )
         self.limit = limit
 
@@ -95,18 +95,18 @@ class WorkBudgetExceeded(PoolLimitExceeded):
     """
 
     def __init__(self, limit: int, rounds: int | None = None):
-        RuntimeError.__init__(
-            self,
+        super().__init__(
+            limit,
             f"Mora work exceeded the budget of {limit}"
             + ("" if rounds is None else
                f" and {rounds} capped rounds certified no highest corner")
             + f"; raise {WORK_BUDGET_ENV} to run uncapped longer"
         )
-        self.limit = limit
         self.rounds = rounds
 
 
-def _resolve_limit(explicit: int | None, env_name: str, default: int) -> int:
+def _resolve_limit(env_name: str, default: int,
+                   explicit: int | None = None) -> int:
     if explicit is not None:
         return int(explicit)
     env = os.environ.get(env_name)
@@ -200,7 +200,6 @@ def mora_normal_form(
     f: Poly, reducers, *,
     pool_ceiling: int | None = None,
     length_cap: int | None = None,
-    work_budget: int | None = None,
 ) -> tuple[Poly, MoraTrace]:
     """Weak normal form of f against the reducers.
 
@@ -219,7 +218,7 @@ def mora_normal_form(
 
     Without a length_cap nothing bounds the intermediate result, so after
     each step its size, terms times the bits of the initial coefficient, is
-    held to the work budget (explicit, else $STAIRCASE_WORK_BUDGET, else
+    held to the work budget ($STAIRCASE_WORK_BUDGET, else
     DEFAULT_WORK_BUDGET); past it WorkBudgetExceeded is raised.
     """
     reducers = list(reducers)
@@ -229,10 +228,10 @@ def mora_normal_form(
             raise ValueError("reducers must be polynomials in the same ring")
         if g.is_zero:
             raise ValueError("zero polynomials cannot be reducers")
-    ceiling = _resolve_limit(pool_ceiling, POOL_CEILING_ENV,
-                             DEFAULT_POOL_CEILING)
+    ceiling = _resolve_limit(POOL_CEILING_ENV, DEFAULT_POOL_CEILING,
+                             pool_ceiling)
     budget = (None if length_cap is not None else
-              _resolve_limit(work_budget, WORK_BUDGET_ENV, DEFAULT_WORK_BUDGET))
+              _resolve_limit(WORK_BUDGET_ENV, DEFAULT_WORK_BUDGET))
     order = ring.order
     key = order.key
     pool = [
@@ -325,7 +324,7 @@ def _unit_free(f: Poly) -> Poly:
 
 def standard_basis(
     gens, *, ring: Ring | None = None, pool_ceiling: int | None = None,
-    length_cap: int | None = None, work_budget: int | None = None,
+    length_cap: int | None = None,
 ) -> SBasis:
     """Complete the generators to a standard basis and read off the staircase.
 
@@ -354,16 +353,15 @@ def standard_basis(
         raise ValueError("the length cap must be at least 1")
     gens = [_unit_free(f) for f in gens]
     if length_cap is not None:
-        return _complete(gens, ring, pool_ceiling, length_cap, None)
-    budget = _resolve_limit(work_budget, WORK_BUDGET_ENV, DEFAULT_WORK_BUDGET)
+        return _complete(gens, ring, pool_ceiling, length_cap)
     try:
-        return _complete(gens, ring, pool_ceiling, None, budget)
-    except WorkBudgetExceeded:
-        pass
+        return _complete(gens, ring, pool_ceiling, None)
+    except WorkBudgetExceeded as exc:
+        budget = exc.limit
     step = max(ring.order.weights)
     cap = 1 + step
     for _ in range(_CERTIFY_ROUNDS):
-        sb = _complete(gens, ring, pool_ceiling, cap, None)
+        sb = _complete(gens, ring, pool_ceiling, cap)
         corner = covering_length(sb.diagram.vertices, ring.order)
         if corner is not None and corner + step <= cap:
             return sb
@@ -372,7 +370,7 @@ def standard_basis(
 
 
 def _complete(gens: list[Poly], ring: Ring, pool_ceiling: int | None,
-              length_cap: int | None, work_budget: int | None) -> SBasis:
+              length_cap: int | None) -> SBasis:
     """The completion loop of `standard_basis`, capped or under the budget."""
     basis: list[Poly] = [
         g.content_normalized()
@@ -411,8 +409,7 @@ def _complete(gens: list[Poly], ring: Ring, pool_ceiling: int | None,
             records.append(SPairRecord(0, True, None))
             continue
         remainder, trace = mora_normal_form(
-            s, basis, pool_ceiling=pool_ceiling, length_cap=cap,
-            work_budget=work_budget)
+            s, basis, pool_ceiling=pool_ceiling, length_cap=cap)
         if remainder.is_zero:
             records.append(SPairRecord(len(trace.steps), True, None))
             continue

@@ -1,7 +1,9 @@
 """Mora division and the completion loop behind exact staircases."""
 
+import os
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -235,7 +237,7 @@ def test_unit_times_monomial_generators_enter_as_the_monomial():
     assert standard_basis([X * (X + Y)]).basis == (X * Y + X ** 2,)
 
 
-def test_mora_treadmill_ends_in_the_work_budget():
+def test_mora_treadmill_ends_in_the_work_budget(monkeypatch):
     # A unit reducer whose ecart never exceeds the intermediate's pools
     # nothing, so without a length cap the series grows without end.
     ring = Ring(("x", "y", "z"), order=Order((2, 1, 1)))
@@ -248,23 +250,22 @@ def test_mora_treadmill_ends_in_the_work_budget():
     assert caught.value.rounds is None
     assert isinstance(caught.value, PoolLimitExceeded)
     # A length cap bounds the series, and the budget does not apply.
-    mora_normal_form(f, reducers, length_cap=6, work_budget=0)
+    monkeypatch.setenv("STAIRCASE_WORK_BUDGET", "0")
+    mora_normal_form(f, reducers, length_cap=6)
 
 
-def test_work_budget_explicit_env_and_uncertified_ideals(monkeypatch):
+def test_work_budget_env_and_uncertified_ideals(monkeypatch):
     # y*(x - y^2, x^2) has an infinite complement: it completes within the
     # default budget, but after a breach no capped round can certify it.
     gens = [X * Y - Y ** 3, X ** 2 * Y]
     assert standard_basis(gens).diagram.vertices == ((1, 1), (0, 5))
+    monkeypatch.setenv("STAIRCASE_WORK_BUDGET", "0")
     with pytest.raises(WorkBudgetExceeded) as caught:
-        standard_basis(gens, work_budget=0)
+        standard_basis(gens)
     assert (caught.value.limit, caught.value.rounds) == (0, 8)
     assert "STAIRCASE_WORK_BUDGET" in str(caught.value)
-    monkeypatch.setenv("STAIRCASE_WORK_BUDGET", "0")
-    with pytest.raises(WorkBudgetExceeded):
-        standard_basis(gens)
-    assert standard_basis(gens, work_budget=10 ** 6).diagram.vertices == (
-        (1, 1), (0, 5))
+    monkeypatch.setenv("STAIRCASE_WORK_BUDGET", str(10 ** 6))
+    assert standard_basis(gens).diagram.vertices == ((1, 1), (0, 5))
     monkeypatch.setenv("STAIRCASE_WORK_BUDGET", "not a number")
     with pytest.raises(ValueError):
         standard_basis(gens)
@@ -318,7 +319,8 @@ def test_certified_fallback_gives_the_exact_diagram(ideal):
     ring, gens, cover = ideal
     # Capped past every vertex, the completion is exact.
     exact = standard_basis(gens, ring=ring, length_cap=cover).diagram
-    assert standard_basis(gens, ring=ring, work_budget=0).diagram == exact
+    with mock.patch.dict(os.environ, {"STAIRCASE_WORK_BUDGET": "0"}):
+        assert standard_basis(gens, ring=ring).diagram == exact
 
 
 def test_length_cap_validation_and_deep_generators():
