@@ -3,7 +3,9 @@
 Exponents are plain integer tuples. The term order compares the tuples
 (weighted length, e1, ..., em) lexicographically and the *initial* term of a
 polynomial is the order-minimal one, so the lowest part of a series carries
-the leading data, as is usual for local rings. Every value here is immutable
+the leading data, as is usual for local rings. The same order also has a
+packed form for Mora's inner loop: one integer per exponent, which compares
+as the tuple does. Every value here is immutable
 and every operation returns canonical form: terms strictly ascending in the
 ring's order, no zero coefficients, all coefficients `fractions.Fraction`.
 Floats are rejected outright.
@@ -36,6 +38,14 @@ Exponent = tuple[int, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# A packed key holds e1, ..., em in fixed-width fields below the weighted
+# length. The top bit of each field is a guard that stays clear, so an
+# exponent must be below FIELD_LIMIT, and a subtraction that borrows from a
+# field shows in its guard bit.
+FIELD_BITS = 32
+FIELD_LIMIT = 1 << (FIELD_BITS - 1)
+_FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 def _as_fraction(value) -> Fraction:
@@ -112,6 +122,38 @@ class Order:
             raise ValueError("exponent arity does not match the order")
         return (sum(map(mul, self.weights, exp)), *exp)
 
+    def pack(self, exp: Exponent) -> int:
+        """The key of exp as one integer: integers compare as keys do, and
+        adding two packed keys packs the sum of the exponents while every
+        field stays below FIELD_LIMIT. An exponent past it is refused."""
+        packed = self.length(exp)
+        for e in exp:
+            if not 0 <= e < FIELD_LIMIT:
+                raise ValueError(
+                    f"exponent {e} does not fit a packed field "
+                    f"(limit 2^{FIELD_BITS - 1})")
+            packed = packed << FIELD_BITS | e
+        return packed
+
+    def unpack(self, packed: int) -> Exponent:
+        """The exponent of a packed key; refuses a key whose guard bits or
+        length field show that a field overflowed."""
+        fields = []
+        for _ in self.weights:
+            fields.append(packed & _FIELD_MASK)
+            packed >>= FIELD_BITS
+        exp = tuple(reversed(fields))
+        if max(exp) >= FIELD_LIMIT or packed != self.length(exp):
+            raise ValueError("packed key overflowed its exponent fields")
+        return exp
+
+    def unpack_all(self, keys: list[int]) -> list[Exponent]:
+        """`unpack` of each key, without its check: only for keys whose
+        exponent entries are known to stay below FIELD_LIMIT."""
+        shifts = range(FIELD_BITS * (len(self.weights) - 1), -1, -FIELD_BITS)
+        return list(zip(*[[k >> s & _FIELD_MASK for k in keys]
+                          for s in shifts]))
+
 
 @dataclass(frozen=True)
 class Ring:
@@ -172,7 +214,8 @@ def _format_coeff(c: Fraction) -> str:
 class Poly:
     """Immutable sparse polynomial with terms ascending in the ring's order."""
 
-    __slots__ = ("ring", "terms")
+    # `_packed` caches the form Mora's inner loop runs on; see `_packed_form`.
+    __slots__ = ("ring", "terms", "_packed")
 
     def __init__(self, ring: Ring, terms: tuple[tuple[Exponent, Fraction], ...]):
         # Trusted constructor: `terms` must already be canonical. Build with
@@ -233,6 +276,28 @@ class Poly:
         # Terms ascend length-first, so the last term has the largest length.
         return length(self.terms[-1][0]) - length(self.terms[0][0])
 
+    def _packed_form(self) -> tuple[list[int], list[int], Fraction, int]:
+        """(keys, ints, scale, top): self is scale * sum(ints[i] * x^e_i),
+        where keys[i] is `Order.pack` of e_i, ascending, the ints are coprime
+        integers, and top bounds every exponent entry. Computed on first use
+        and kept, so a basis element is converted once; callers must not
+        mutate the lists."""
+        try:
+            return self._packed
+        except AttributeError:
+            pass
+        pack = self.ring.order.pack
+        keys = [pack(e) for e, _ in self.terms]
+        top = max((max(e, default=0) for e, _ in self.terms), default=0)
+        den = math.lcm(*(c.denominator for _, c in self.terms))
+        ints = [c.numerator * (den // c.denominator) for _, c in self.terms]
+        content = math.gcd(*ints) or 1
+        if content != 1:
+            ints = [c // content for c in ints]
+        form = (keys, ints, Fraction(content, den), top)
+        object.__setattr__(self, "_packed", form)
+        return form
+
     # ------------------------------------------------------------------
     # arithmetic
 
@@ -248,6 +313,9 @@ class Poly:
     def _combine(self, other: "Poly", sign: int) -> "Poly":
         key = self.ring.order.key
         a, b = self.terms, other.terms
+        # Each term is keyed once per merge, not once per comparison.
+        ka = [key(e) for e, _ in a]
+        kb = [key(e) for e, _ in b]
         out: list[tuple[Exponent, Fraction]] = []
         i = j = 0
         na, nb = len(a), len(b)
@@ -260,7 +328,7 @@ class Poly:
                     out.append((ea, c))
                 i += 1
                 j += 1
-            elif key(ea) < key(eb):
+            elif ka[i] < kb[j]:
                 out.append((ea, ca))
                 i += 1
             else:

@@ -32,18 +32,35 @@ of length L and L + max(w) <= B, then J_B lies in m*J_L, so J_L lies in the
 ideal by Nakayama, the cap changes nothing, and the capped basis is a
 standard basis of the ideal itself. An ideal whose complement is infinite
 never certifies and ends in the resource error.
+
+Mora's loop and the s-polynomials run on a packed form of each polynomial
+(Monagan-Pearce, Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors, CASC 2007). A term's key is one integer with the weighted
+length in the top field and e_1..e_m in fixed-width fields below it, so
+comparing two terms is one integer comparison, shifting a term is one
+addition, and the cap is a bisection. Coefficients are coprime integers
+times one exact Fraction scale per polynomial: a step forms a*h - b*x^s*g
+with integer a and b that cancel the initial term, divides out the content
+with one gcd, and folds a and the content into the scale. Each basis
+element is converted once and keeps its packed form. The values are exact
+throughout, so remainders, traces and the work budget's measure are those
+of the same steps in Fraction arithmetic; an exponent past the field width
+is refused with ValueError, never wrapped.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .core import (
-    Exponent, Poly, Ring, exp_add, exp_divides, exp_lcm, exp_sub, resolve_ring,
+    FIELD_BITS, FIELD_LIMIT, Exponent, Poly, Ring, exp_add, exp_lcm,
+    resolve_ring,
 )
 from .diagram import Diagram, covering_length
 
@@ -167,33 +184,106 @@ class MoraTrace:
         return unit
 
 
-@dataclass(frozen=True)
-class _Reducer:
-    poly: Poly
-    inexp: Exponent
-    lead: Fraction
+@dataclass(slots=True)
+class _Entry:
+    """A reducer in Mora's pool, in packed form: the polynomial is
+    scale * sum(ints[i] * x^keys[i]), and top bounds its exponent entries."""
+
+    keys: list[int]
+    ints: list[int]
+    scale: Fraction
+    top: int
     ecart: int
     label: str
-    index: int
 
 
-def _below(p: Poly, shift: Exponent, cap: int | None) -> Poly:
-    """The terms of p that x^shift moves below length cap, unshifted.
+def _below(p: Poly, cap: int | None) -> Poly:
+    """p without its terms of length >= cap.
 
-    Terms ascend length-first, so they form a prefix; the scan runs from the
-    tail, where the deep terms are.
+    Terms ascend length-first, so the kept ones form a prefix; the scan runs
+    from the tail, where the deep terms are.
     """
     if cap is None:
         return p
     length = p.ring.order.length
-    limit = cap - length(shift)
     terms = p.terms
     end = len(terms)
-    while end and length(terms[end - 1][0]) >= limit:
+    while end and length(terms[end - 1][0]) >= cap:
         end -= 1
     if end == len(terms):
         return p
     return Poly(p.ring, terms[:end])
+
+
+def _merge(hk: list[int], hc: list[int], a: int,
+           gk: list[int], gc: list[int], b: int, shift: int,
+           end: int) -> tuple[list[int], list[int]]:
+    """a*h - b*x^shift*g[:end] on packed terms, whose initial terms cancel."""
+    keys: list[int] = []
+    ints: list[int] = []
+    push_key, push_int = keys.append, ints.append
+    i, j = 1, 1
+    nh = len(hk)
+    if j < end:
+        kg = gk[j] + shift
+    while i < nh and j < end:
+        kh = hk[i]
+        if kh < kg:
+            push_key(kh)
+            push_int(a * hc[i])
+            i += 1
+            continue
+        if kh == kg:
+            c = a * hc[i] - b * gc[j]
+            if c:
+                push_key(kh)
+                push_int(c)
+            i += 1
+        else:
+            push_key(kg)
+            push_int(-b * gc[j])
+        j += 1
+        if j < end:
+            kg = gk[j] + shift
+    if i < nh:
+        keys += hk[i:]
+        ints += hc[i:] if a == 1 else [a * c for c in hc[i:]]
+    if j < end:
+        keys += [k + shift for k in gk[j:end]]
+        ints += [-b * c for c in gc[j:end]]
+    return keys, ints
+
+
+def _primitive(ints: list[int]) -> tuple[list[int], int]:
+    """ints divided by their content, and the content (0 for no ints)."""
+    content = gcd(*ints)
+    if content > 1:
+        ints = [c // content for c in ints]
+    return ints, content
+
+
+def _reach(top: int, shift: Exponent) -> int:
+    """A bound on the exponent entries of x^shift times a polynomial whose
+    entries are at most top; refuses one that does not fit a packed field."""
+    reach = top + max(shift)
+    if reach >= FIELD_LIMIT:
+        raise ValueError(f"exponent {reach} does not fit a packed field "
+                         f"(limit 2^{FIELD_BITS - 1})")
+    return reach
+
+
+def _unpacked(ring: Ring, keys: list[int], ints: list[int], scale: Fraction,
+              top: int) -> Poly:
+    """The polynomial scale * sum(ints[i] * x^keys[i]), its packed form kept.
+
+    top bounds the exponent entries below FIELD_LIMIT, so the keys unpack
+    without a check.
+    """
+    num, den = scale.numerator, scale.denominator
+    p = Poly(ring, tuple(zip(ring.order.unpack_all(keys),
+                             [Fraction(num * c, den) for c in ints])))
+    object.__setattr__(p, "_packed", (keys, ints, scale, top))
+    return p
 
 
 def mora_normal_form(
@@ -219,7 +309,8 @@ def mora_normal_form(
     Without a length_cap nothing bounds the intermediate result, so after
     each step its size, terms times the bits of the initial coefficient, is
     held to the work budget ($STAIRCASE_WORK_BUDGET, else
-    DEFAULT_WORK_BUDGET); past it WorkBudgetExceeded is raised.
+    DEFAULT_WORK_BUDGET); past it WorkBudgetExceeded is raised. An exponent
+    entry that reaches FIELD_LIMIT (2^31) is refused with ValueError.
     """
     reducers = list(reducers)
     ring = f.ring
@@ -232,52 +323,74 @@ def mora_normal_form(
                              pool_ceiling)
     budget = (None if length_cap is not None else
               _resolve_limit(WORK_BUDGET_ENV, DEFAULT_WORK_BUDGET))
-    order = ring.order
-    key = order.key
-    pool = [
-        _Reducer(g, g.initial_exponent(), g.initial_coefficient(),
-                 g.ecart(), f"r{i}", i)
-        for i, g in enumerate(reducers)
-    ]
-    h = _below(f, (0,) * ring.arity, length_cap)
+    unpack = ring.order.unpack
+    # Packed keys carry the weighted length above `low` bits of exponent
+    # fields, so a key below B << low is a term shorter than B.
+    low = FIELD_BITS * ring.arity
+    guards = sum(FIELD_LIMIT << (FIELD_BITS * i) for i in range(ring.arity))
+    pool = []
+    for i, g in enumerate(reducers):
+        gk, gc, gs, gtop = g._packed_form()
+        pool.append(_Entry(gk, gc, gs, gtop, (gk[-1] >> low) - (gk[0] >> low),
+                           f"r{i}"))
+    keys, ints, scale, top = f._packed_form()
+    if length_cap is not None and keys and keys[-1] >= length_cap << low:
+        end = bisect_left(keys, length_cap << low)
+        ints, content = _primitive(ints[:end])
+        keys, scale = keys[:end], scale * content
     steps: list[MoraStep] = []
     pooled_at: list[int] = []
-    while not h.is_zero:
-        hexp = h.initial_exponent()
+    while keys:
+        lead = keys[0]
+        # x^e divides x^lead exactly when no field of (lead | guards) - e
+        # borrows from its guard bit.
+        probe = lead | guards
+        # The least (ecart, initial key) wins, ties going to the earliest.
         chosen = None
-        chosen_rank = None
         for entry in pool:
-            if exp_divides(entry.inexp, hexp):
-                rank = (entry.ecart, key(entry.inexp), entry.index)
-                if chosen is None or rank < chosen_rank:
-                    chosen, chosen_rank = entry, rank
+            if (probe - entry.keys[0]) & guards == guards and (
+                    chosen is None
+                    or (entry.ecart, entry.keys[0])
+                    < (chosen.ecart, chosen.keys[0])):
+                chosen = entry
         if chosen is None:
             break
-        h_ecart = h.ecart()
+        h_ecart = (keys[-1] >> low) - (lead >> low)
         if chosen.ecart > h_ecart:
             if len(pool) >= ceiling:
                 raise PoolLimitExceeded(ceiling)
-            pool.append(
-                _Reducer(h, hexp, h.initial_coefficient(), h_ecart,
-                         f"p{len(pooled_at)}", len(pool))
-            )
+            pool.append(_Entry(keys, ints, scale, top, h_ecart,
+                               f"p{len(pooled_at)}"))
             pooled_at.append(len(steps))
-        shift = exp_sub(hexp, chosen.inexp)
-        coeff = h.initial_coefficient() / chosen.lead
-        # h lies below the cap, so cutting the shifted reducer is enough;
-        # its initial term lands on hexp and survives the cut.
-        h = h._sub_shifted(coeff, shift, _below(chosen.poly, shift, length_cap))
-        steps.append(MoraStep(chosen.label, shift, coeff))
-        if budget is not None and h.terms:
-            c = h.terms[0][1]
-            size = len(h.terms) * (c.numerator.bit_length()
-                                   + c.denominator.bit_length())
+        shift = lead - chosen.keys[0]
+        shift_exp = unpack(shift)
+        top = max(top, _reach(chosen.top, shift_exp))
+        hc0, gc0, gs = ints[0], chosen.ints[0], chosen.scale
+        steps.append(MoraStep(chosen.label, shift_exp, Fraction(
+            scale.numerator * hc0 * gs.denominator,
+            scale.denominator * gc0 * gs.numerator)))
+        # h = (scale/a) * (a*h' - b*x^shift*g'), where h' and g' are the
+        # integer parts: a*hc0 = b*gc0 cancels the initial term.
+        d = gcd(hc0, gc0)
+        a, b = gc0 // d, hc0 // d
+        end = len(chosen.keys)
+        if length_cap is not None:
+            end = bisect_left(chosen.keys, (length_cap - (shift >> low)) << low)
+        keys, ints = _merge(keys, ints, a, chosen.keys, chosen.ints, b,
+                            shift, end)
+        ints, content = _primitive(ints)
+        scale = Fraction(scale.numerator * content, scale.denominator * a)
+        if budget is not None and ints:
+            c = Fraction(scale.numerator * ints[0], scale.denominator)
+            size = len(ints) * (c.numerator.bit_length()
+                                + c.denominator.bit_length())
             if size > budget:
                 raise WorkBudgetExceeded(budget)
-    assert h.is_zero or all(
-        not exp_divides(entry.inexp, h.initial_exponent()) for entry in pool
-    )
-    return h, MoraTrace(ring, tuple(steps), tuple(pooled_at))
+    remainder = _unpacked(ring, keys, ints, scale, top)
+    assert remainder.is_zero or all(
+        ((keys[0] | guards) - entry.keys[0]) & guards != guards
+        for entry in pool)
+    return remainder, MoraTrace(ring, tuple(steps), tuple(pooled_at))
 
 
 @dataclass(frozen=True)
@@ -290,7 +403,13 @@ class SPairRecord:
 
 @dataclass(frozen=True)
 class SBasis:
-    """A standard basis together with its staircase and the completion log."""
+    """A standard basis together with its staircase and the completion log.
+
+    After a work budget breach, `basis` and `trace` are those of the capped
+    round that certified the highest corner: the trace holds only that
+    round's s-pairs, not those of the breached uncapped attempt or of the
+    earlier capped rounds.
+    """
 
     basis: tuple[Poly, ...]
     diagram: Diagram
@@ -299,13 +418,35 @@ class SBasis:
 
 def _spoly(f: Poly, g: Poly, cap: int | None) -> Poly:
     """The s-polynomial of f and g without its terms of length >= cap."""
-    a, b = f.initial_exponent(), g.initial_exponent()
-    lcm = exp_lcm(a, b)
-    sa, sb = exp_sub(lcm, a), exp_sub(lcm, b)
-    inv = 1 / f.initial_coefficient()
-    fa = Poly(f.ring, tuple(
-        (exp_add(e, sa), inv * c) for e, c in _below(f, sa, cap).terms))
-    return fa._sub_shifted(1 / g.initial_coefficient(), sb, _below(g, sb, cap))
+    ring = f.ring
+    low = FIELD_BITS * ring.arity
+    fk, fc, _, ftop = f._packed_form()
+    gk, gc, _, gtop = g._packed_form()
+    lcm = ring.order.pack(exp_lcm(f.initial_exponent(), g.initial_exponent()))
+    sf, sg = lcm - fk[0], lcm - gk[0]
+    top = max(_reach(ftop, ring.order.unpack(sf)),
+              _reach(gtop, ring.order.unpack(sg)))
+    end_f, end_g = len(fk), len(gk)
+    if cap is not None:
+        end_f = bisect_left(fk, (cap - (sf >> low)) << low)
+        end_g = bisect_left(gk, (cap - (sg >> low)) << low)
+    # x^sf*f/lc(f) - x^sg*g/lc(g) = (a*x^sf*F - b*x^sg*G) / (a*lc(F)), where
+    # F and G are the integer parts and a*lc(F) = b*lc(G).
+    d = gcd(fc[0], gc[0])
+    a, b = gc[0] // d, fc[0] // d
+    keys, ints = _merge([k + sf for k in fk[:end_f]], fc[:end_f], a,
+                        gk, gc, b, sg, end_g)
+    ints, content = _primitive(ints)
+    return _unpacked(ring, keys, ints, Fraction(content, a * fc[0]), top)
+
+
+def _normalized(p: Poly) -> Poly:
+    """p.content_normalized(), built from the packed form of p and keeping
+    its own: coprime integers with a positive initial coefficient."""
+    keys, ints, _, top = p._packed_form()
+    if ints[0] < 0:
+        ints = [-c for c in ints]
+    return _unpacked(p.ring, keys, ints, Fraction(1), top)
 
 
 def _unit_free(f: Poly) -> Poly:
@@ -373,8 +514,8 @@ def _complete(gens: list[Poly], ring: Ring, pool_ceiling: int | None,
               length_cap: int | None) -> SBasis:
     """The completion loop of `standard_basis`, capped or under the budget."""
     basis: list[Poly] = [
-        g.content_normalized()
-        for g in (_below(f, (0,) * ring.arity, length_cap) for f in gens)
+        _normalized(g)
+        for g in (_below(f, length_cap) for f in gens)
         if not g.is_zero]
     inexps: list[Exponent] = [b.initial_exponent() for b in basis]
     records: list[SPairRecord] = []
@@ -413,7 +554,7 @@ def _complete(gens: list[Poly], ring: Ring, pool_ceiling: int | None,
         if remainder.is_zero:
             records.append(SPairRecord(len(trace.steps), True, None))
             continue
-        remainder = remainder.content_normalized()
+        remainder = _normalized(remainder)
         basis.append(remainder)
         inexps.append(remainder.initial_exponent())
         new_index = len(basis) - 1

@@ -1,6 +1,7 @@
 """Exact arithmetic, the local order, jets, and coordinate changes."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from staircase import (
     exp_sub,
     total_degree,
 )
+from staircase.core import FIELD_LIMIT
 from helpers import random_poly, random_ring, random_tail
 
 RING = Ring(("x", "y"))
@@ -170,6 +172,55 @@ def test_exponent_helpers():
     assert exp_divides((1, 1), (2, 1))
     assert not exp_divides((2, 0), (1, 5))
     assert exp_lcm((2, 0), (1, 5)) == (2, 5)
+
+
+def test_packed_keys_compare_and_add_as_exponents():
+    rng = random.Random(208)
+    for _ in range(200):
+        arity = rng.randint(1, 3)
+        order = Order(tuple(rng.randint(1, 5) for _ in range(arity)))
+        near = (0, 1, 2, FIELD_LIMIT // 2 - 1)  # sums of two still fit
+        a, b = (tuple(rng.choice(near) for _ in range(arity)) for _ in "ab")
+        assert (order.pack(a) < order.pack(b)) == (order.key(a) < order.key(b))
+        assert order.pack(a) + order.pack(b) == order.pack(exp_add(a, b))
+        assert order.unpack(order.pack(a)) == a
+        assert order.unpack_all([order.pack(a), order.pack(b)]) == [a, b]
+
+
+def test_packing_refuses_what_does_not_fit_its_field():
+    order = Order((1, 2))
+    for exp in ((2 ** 64, 0), (0, FIELD_LIMIT), (-1, 0)):
+        with pytest.raises(ValueError):
+            order.pack(exp)
+    top = FIELD_LIMIT - 1
+    assert order.unpack(order.pack((top, top))) == (top, top)
+    # Adding past the limit would carry into the neighbouring field and
+    # mis-order the term; unpacking shows it through the guard bit or the
+    # length field.
+    for a, b in (((0, top), (0, 1)), ((top, top), (top, top))):
+        with pytest.raises(ValueError):
+            order.unpack(order.pack(a) + order.pack(b))
+    # Three times y^top carries into x and leaves a clear guard bit; only
+    # the length field shows it.
+    with pytest.raises(ValueError):
+        order.unpack(3 * order.pack((0, top)))
+    with pytest.raises(ValueError):
+        RING.monomial((2 ** 64, 0))._packed_form()
+
+
+def test_packed_form_is_a_primitive_integer_part_and_a_scale():
+    rng = random.Random(209)
+    for _ in range(100):
+        ring = random_ring(rng)
+        p = random_poly(rng, ring).scaled(Fraction(rng.randint(1, 9),
+                                                   rng.randint(1, 9)))
+        keys, ints, scale, top = p._packed_form()
+        assert keys == sorted(keys)
+        assert [ring.order.unpack(k) for k in keys] == [e for e, _ in p.terms]
+        assert [scale * c for c in ints] == [c for _, c in p.terms]
+        assert math.gcd(*ints) == 1
+        assert top == max(max(e) for e, _ in p.terms)
+        assert p._packed_form() is p._packed_form()
 
 
 def test_content_normalization():

@@ -1,5 +1,7 @@
 """Mora division and the completion loop behind exact staircases."""
 
+import importlib
+import math
 import os
 import random
 from fractions import Fraction
@@ -28,7 +30,8 @@ from staircase import (
     truncated_diagram,
     unit_cleared_generators,
 )
-from staircase.standard_basis import _spoly
+from staircase.core import FIELD_LIMIT
+from staircase.standard_basis import _normalized, _spoly
 from helpers import (
     random_ideal, random_poly, random_ring, random_tail, vanishing_poly,
 )
@@ -118,6 +121,133 @@ def test_mora_weak_normal_form_identity():
         window = TruncationBasis.build(reducers, 9, ring=ring)
         assert window.contains_mod_truncation(witness)
     assert chained
+
+
+@st.composite
+def mora_inputs(draw):
+    """f and reducers with rational coefficients under a random weighted
+    order, and a length cap or none."""
+    arity = draw(st.integers(1, 3))
+    ring = Ring(tuple("xyz")[:arity],
+                order=Order(tuple(draw(st.integers(1, 3)) for _ in range(arity))))
+    exponent = st.tuples(*[st.integers(0, 3)] * arity)
+    coeff = st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                      st.integers(1, 4))
+    poly = (st.lists(st.tuples(exponent, coeff), min_size=1, max_size=5)
+            .map(lambda pairs: Poly.from_terms(ring, pairs))
+            .filter(lambda p: not p.is_zero))
+    reducers = draw(st.lists(poly, min_size=1, max_size=3))
+    return draw(poly), reducers, draw(st.none() | st.integers(1, 10))
+
+
+def _packed_matches_terms(p):
+    keys, ints, scale, top = p._packed_form()
+    return (p.ring.order.unpack_all(keys) == [e for e, _ in p.terms]
+            and [scale * c for c in ints] == [c for _, c in p.terms]
+            and math.gcd(*ints) in (0, 1)
+            and all(max(e) <= top for e, _ in p.terms))
+
+
+def _replay(f, reducers, trace, cap):
+    """Rerun a Mora trace in Fraction arithmetic: each step subtracts
+    coeff * x^shift times its reducer, or times the pooled intermediate
+    p_k = h before step pooled_at[k], and cuts below the cap."""
+    ring = f.ring
+    key, length = ring.order.key, ring.order.length
+
+    def cut(p):
+        return p if cap is None else Poly(
+            ring, tuple(t for t in p.terms if length(t[0]) < cap))
+
+    h = cut(f)
+    pooled = []
+    for i, step in enumerate(trace.steps):
+        if len(pooled) < trace.pool_added and trace.pooled_at[len(pooled)] == i:
+            pooled.append(h)
+        source = reducers if step.reducer.startswith("r") else pooled
+        before = h.initial_exponent()
+        h = cut(h - ring.monomial(step.shift, step.coeff)
+                * source[int(step.reducer[1:])])
+        # Each step cancels the initial term.
+        assert h.is_zero or key(h.initial_exponent()) > key(before)
+    assert len(pooled) == trace.pool_added
+    return h
+
+
+@settings(max_examples=300, deadline=None)
+@given(mora_inputs())
+# The step 2*(x + y^2) - (2x + 2y^3) leaves the content 2, which the scale
+# must take up.
+@example((X + Y ** 2, [2 * X + 2 * Y ** 3], None))
+@example((X + Y ** 2, [2 * X + 2 * Y ** 3], 3))
+# Three pool entries with coefficients swelling along the chain.
+@example((-X * Y - X ** 2 * Y, [-1 - 4 * X ** 2], None))
+def test_mora_trace_replays_to_the_remainder(inputs):
+    f, reducers, cap = inputs
+    fresh = [p._packed_form() for p in (f, *reducers)]
+    try:
+        remainder, trace = mora_normal_form(f, reducers, length_cap=cap)
+    except WorkBudgetExceeded:
+        return
+    assert _replay(f, reducers, trace, cap).terms == remainder.terms
+    assert _packed_matches_terms(remainder)
+    if not remainder.is_zero:
+        lead = remainder.initial_exponent()
+        assert not any(exp_divides(r.initial_exponent(), lead)
+                       for r in reducers)
+    # The run left the packed forms it was handed as they were.
+    assert [Poly(p.ring, p.terms)._packed_form()
+            for p in (f, *reducers)] == fresh
+
+
+def test_packed_normalization_matches_content_normalized():
+    rng = random.Random(211)
+    for _ in range(100):
+        ring = random_ring(rng)
+        p = random_poly(rng, ring).scaled(Fraction(rng.randint(-9, 9) or 1,
+                                                   rng.randint(1, 9)))
+        normalized = _normalized(p)
+        assert normalized == p.content_normalized()
+        assert _packed_matches_terms(normalized)
+
+
+def test_mora_refuses_exponents_past_the_packed_field():
+    with pytest.raises(ValueError):
+        mora_normal_form(RING.monomial((2 ** 64, 0)) + Y, [Y])
+    with pytest.raises(ValueError):
+        standard_basis([RING.monomial((2 ** 64, 0))])
+    # The input fits, but x^(2^31 - 1) times the reducer's x*z would not,
+    # and that term would stay in the remainder.
+    f = RING3.monomial((FIELD_LIMIT - 1, 1, 0))
+    with pytest.raises(ValueError):
+        mora_normal_form(f, [Y3 + X3 * Z3])
+
+
+def test_standard_basis_calls_mora_once_per_reduced_spair(monkeypatch):
+    # perfbench counts Mora calls by wrapping the module's name, so the
+    # completion must reach Mora through it for every s-pair it reduces:
+    # all but the coprime skips and the s-polynomials that vanish.
+    module = importlib.import_module("staircase.standard_basis")
+    original = module.mora_normal_form
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "mora_normal_form", counting)
+    rng = random.Random(210)
+    total = 0
+    for _ in range(40):
+        ring = random_ring(rng)
+        gens = random_ideal(rng, ring, max_degree=4)
+        calls.clear()
+        sb = standard_basis(gens)
+        reduced = [r for r in sb.trace if not r.skipped_coprime
+                   and not (r.steps == 0 and r.reduced_to_zero)]
+        assert len(calls) == len(reduced)
+        total += len(calls)
+    assert total
 
 
 def test_standard_basis_pinned_examples():
@@ -407,10 +537,10 @@ def test_capped_spoly_is_the_spoly_without_its_deep_terms(pair, cap):
     length = ring.order.length
     kept = tuple(t for t in full.terms if cap is None or length(t[0]) < cap)
     assert _spoly(f, g, cap) == Poly(ring, kept)
+    assert _packed_matches_terms(_spoly(f, g, cap))
     if cap is not None and length(lcm) >= cap:
         assert _spoly(f, g, cap).is_zero
-    # Mora cuts its reducers with the same helper; a capped remainder keeps
-    # no term at or beyond the cap.
+    # A capped remainder keeps no term at or beyond the cap.
     if cap is not None:
         remainder, _ = mora_normal_form(f, [g], length_cap=cap)
         assert all(length(e) < cap for e, _ in remainder.terms)
