@@ -280,8 +280,10 @@ def _unpacked(ring: Ring, keys: list[int], ints: list[int], scale: Fraction,
     without a check.
     """
     num, den = scale.numerator, scale.denominator
-    p = Poly(ring, tuple(zip(ring.order.unpack_all(keys),
-                             [Fraction(num * c, den) for c in ints])))
+    # Fraction(n) skips the gcd that Fraction(n, den) pays even for den 1.
+    coeffs = ([Fraction(num * c) for c in ints] if den == 1
+              else [Fraction(num * c, den) for c in ints])
+    p = Poly(ring, tuple(zip(ring.order.unpack_all(keys), coeffs)))
     object.__setattr__(p, "_packed", (keys, ints, scale, top))
     return p
 
