@@ -136,20 +136,13 @@ class Order:
         return packed
 
     def unpack(self, packed: int) -> Exponent:
-        """The exponent of a packed key; refuses a key whose guard bits or
-        length field show that a field overflowed."""
-        fields = []
-        for _ in self.weights:
-            fields.append(packed & _FIELD_MASK)
-            packed >>= FIELD_BITS
-        exp = tuple(reversed(fields))
-        if max(exp) >= FIELD_LIMIT or packed != self.length(exp):
-            raise ValueError("packed key overflowed its exponent fields")
-        return exp
+        """The exponent of one packed key; see `unpack_all`."""
+        return self.unpack_all((packed,))[0]
 
-    def unpack_all(self, keys: list[int]) -> list[Exponent]:
-        """`unpack` of each key, without its check: only for keys whose
-        exponent entries are known to stay below FIELD_LIMIT."""
+    def unpack_all(self, keys) -> list[Exponent]:
+        """The exponents of packed keys. Nothing is checked here: `pack`
+        refuses an exponent that does not fit, and whoever adds packed keys
+        must keep every field below FIELD_LIMIT."""
         shifts = range(FIELD_BITS * (len(self.weights) - 1), -1, -FIELD_BITS)
         return list(zip(*[[k >> s & _FIELD_MASK for k in keys]
                           for s in shifts]))
@@ -298,6 +291,18 @@ class Poly:
         object.__setattr__(self, "_packed", form)
         return form
 
+    @staticmethod
+    def _from_packed(ring: Ring, keys: list[int], ints: list[int],
+                     scale: Fraction, top: int) -> "Poly":
+        """The polynomial scale * sum(ints[i] * x^keys[i]), keeping that as
+        its packed form. The keys must ascend, the ints must be coprime, and
+        top must bound the exponent entries below FIELD_LIMIT."""
+        num, den = scale.numerator, scale.denominator
+        p = Poly(ring, tuple(zip(ring.order.unpack_all(keys),
+                                 [Fraction(num * c, den) for c in ints])))
+        object.__setattr__(p, "_packed", (keys, ints, scale, top))
+        return p
+
     # ------------------------------------------------------------------
     # arithmetic
 
@@ -419,15 +424,16 @@ class Poly:
 
     def content_normalized(self) -> "Poly":
         """Scale by a rational so coefficients are coprime integers and the
-        initial coefficient is positive."""
+        initial coefficient is positive. It goes through the packed form, so
+        an exponent entry past FIELD_LIMIT is refused with ValueError."""
         if not self.terms:
             return self
-        num_gcd = math.gcd(*(abs(c.numerator) for _, c in self.terms))
-        den_lcm = math.lcm(*(c.denominator for _, c in self.terms))
-        factor = Fraction(den_lcm, num_gcd)
-        if self.terms[0][1] < 0:
-            factor = -factor
-        return self.scaled(factor)
+        # The packed form's integer part is the answer up to sign, and the
+        # result keeps it, so a standard basis element is packed once.
+        keys, ints, _, top = self._packed_form()
+        if ints[0] < 0:
+            ints = [-c for c in ints]
+        return Poly._from_packed(self.ring, keys, ints, _ONE, top)
 
     # ------------------------------------------------------------------
     # jets, evaluation, coordinate changes

@@ -272,22 +272,6 @@ def _reach(top: int, shift: Exponent) -> int:
     return reach
 
 
-def _unpacked(ring: Ring, keys: list[int], ints: list[int], scale: Fraction,
-              top: int) -> Poly:
-    """The polynomial scale * sum(ints[i] * x^keys[i]), its packed form kept.
-
-    top bounds the exponent entries below FIELD_LIMIT, so the keys unpack
-    without a check.
-    """
-    num, den = scale.numerator, scale.denominator
-    # Fraction(n) skips the gcd that Fraction(n, den) pays even for den 1.
-    coeffs = ([Fraction(num * c) for c in ints] if den == 1
-              else [Fraction(num * c, den) for c in ints])
-    p = Poly(ring, tuple(zip(ring.order.unpack_all(keys), coeffs)))
-    object.__setattr__(p, "_packed", (keys, ints, scale, top))
-    return p
-
-
 def mora_normal_form(
     f: Poly, reducers, *,
     pool_ceiling: int | None = None,
@@ -388,7 +372,7 @@ def mora_normal_form(
                                 + c.denominator.bit_length())
             if size > budget:
                 raise WorkBudgetExceeded(budget)
-    remainder = _unpacked(ring, keys, ints, scale, top)
+    remainder = Poly._from_packed(ring, keys, ints, scale, top)
     assert remainder.is_zero or all(
         ((keys[0] | guards) - entry.keys[0]) & guards != guards
         for entry in pool)
@@ -439,16 +423,8 @@ def _spoly(f: Poly, g: Poly, cap: int | None) -> Poly:
     keys, ints = _merge([k + sf for k in fk[:end_f]], fc[:end_f], a,
                         gk, gc, b, sg, end_g)
     ints, content = _primitive(ints)
-    return _unpacked(ring, keys, ints, Fraction(content, a * fc[0]), top)
-
-
-def _normalized(p: Poly) -> Poly:
-    """p.content_normalized(), built from the packed form of p and keeping
-    its own: coprime integers with a positive initial coefficient."""
-    keys, ints, _, top = p._packed_form()
-    if ints[0] < 0:
-        ints = [-c for c in ints]
-    return _unpacked(p.ring, keys, ints, Fraction(1), top)
+    return Poly._from_packed(ring, keys, ints,
+                            Fraction(content, a * fc[0]), top)
 
 
 def _unit_free(f: Poly) -> Poly:
@@ -516,7 +492,7 @@ def _complete(gens: list[Poly], ring: Ring, pool_ceiling: int | None,
               length_cap: int | None) -> SBasis:
     """The completion loop of `standard_basis`, capped or under the budget."""
     basis: list[Poly] = [
-        _normalized(g)
+        g.content_normalized()
         for g in (_below(f, length_cap) for f in gens)
         if not g.is_zero]
     inexps: list[Exponent] = [b.initial_exponent() for b in basis]
@@ -556,7 +532,7 @@ def _complete(gens: list[Poly], ring: Ring, pool_ceiling: int | None,
         if remainder.is_zero:
             records.append(SPairRecord(len(trace.steps), True, None))
             continue
-        remainder = _normalized(remainder)
+        remainder = remainder.content_normalized()
         basis.append(remainder)
         inexps.append(remainder.initial_exponent())
         new_index = len(basis) - 1

@@ -194,18 +194,12 @@ def test_packing_refuses_what_does_not_fit_its_field():
             order.pack(exp)
     top = FIELD_LIMIT - 1
     assert order.unpack(order.pack((top, top))) == (top, top)
-    # Adding past the limit would carry into the neighbouring field and
-    # mis-order the term; unpacking shows it through the guard bit or the
-    # length field.
-    for a, b in (((0, top), (0, 1)), ((top, top), (top, top))):
-        with pytest.raises(ValueError):
-            order.unpack(order.pack(a) + order.pack(b))
-    # Three times y^top carries into x and leaves a clear guard bit; only
-    # the length field shows it.
-    with pytest.raises(ValueError):
-        order.unpack(3 * order.pack((0, top)))
+    # Unpacking checks nothing, so the refusal must come before a key is
+    # made: a field at FIELD_LIMIT would carry into its neighbour.
     with pytest.raises(ValueError):
         RING.monomial((2 ** 64, 0))._packed_form()
+    with pytest.raises(ValueError):
+        (RING.monomial((0, FIELD_LIMIT)) + X).content_normalized()
 
 
 def test_packed_form_is_a_primitive_integer_part_and_a_scale():
@@ -221,6 +215,11 @@ def test_packed_form_is_a_primitive_integer_part_and_a_scale():
         assert math.gcd(*ints) == 1
         assert top == max(max(e) for e, _ in p.terms)
         assert p._packed_form() is p._packed_form()
+        # The content normalization keeps the integer part as its own form.
+        normal = p.content_normalized()
+        sign = 1 if ints[0] > 0 else -1
+        assert normal._packed_form() == (keys, [sign * c for c in ints], 1, top)
+        assert [c for _, c in normal.terms] == normal._packed_form()[1]
 
 
 def test_content_normalization():

@@ -31,7 +31,7 @@ from staircase import (
     unit_cleared_generators,
 )
 from staircase.core import FIELD_LIMIT
-from staircase.standard_basis import _normalized, _spoly
+from staircase.standard_basis import _spoly
 from helpers import (
     random_ideal, random_poly, random_ring, random_tail, vanishing_poly,
 )
@@ -198,17 +198,6 @@ def test_mora_trace_replays_to_the_remainder(inputs):
     # The run left the packed forms it was handed as they were.
     assert [Poly(p.ring, p.terms)._packed_form()
             for p in (f, *reducers)] == fresh
-
-
-def test_packed_normalization_matches_content_normalized():
-    rng = random.Random(211)
-    for _ in range(100):
-        ring = random_ring(rng)
-        p = random_poly(rng, ring).scaled(Fraction(rng.randint(-9, 9) or 1,
-                                                   rng.randint(1, 9)))
-        normalized = _normalized(p)
-        assert normalized == p.content_normalized()
-        assert _packed_matches_terms(normalized)
 
 
 def test_mora_refuses_exponents_past_the_packed_field():
