@@ -3,12 +3,25 @@
 Exponents are plain integer tuples. The term order compares the tuples
 (weighted length, e1, ..., em) lexicographically and the *initial* term of a
 polynomial is the order-minimal one, so the lowest part of a series carries
-the leading data, as is usual for local rings. The same order also has a
-packed form for Mora's inner loop: one integer per exponent, which compares
-as the tuple does. Every value here is immutable
-and every operation returns canonical form: terms strictly ascending in the
-ring's order, no zero coefficients, all coefficients `fractions.Fraction`.
-Floats are rejected outright.
+the leading data, as is usual for local rings.
+
+A polynomial has one representation, a packed form (Monagan-Pearce,
+Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors, CASC 2007). A term's key is one integer with the weighted length in
+the top field and e_1..e_m in fixed-width fields below it, so comparing two
+terms is one integer comparison, shifting a term is one addition, and
+cutting at a length is a bisection. The coefficients are coprime integers
+times one positive Fraction scale. The form is canonical: keys strictly
+ascending, no zero integer, coprime integers and a positive scale, so equal
+polynomials store equal fields. Sums, differences and Mora's steps run on
+one merge, a*h - b*x^s*g with integer a and b; a product multiplies the
+integer parts, which stay coprime by Gauss's lemma. Every exponent entry must
+stay below FIELD_LIMIT (2^31): an entry past it is refused with ValueError
+when the polynomial is built, never wrapped. `Poly.terms` lists the
+(exponent, Fraction) pairs, built on first read.
+
+Every value here is immutable. Floats are rejected outright, as
+coefficients, exponents, order weights and diagram vertices.
 """
 
 from __future__ import annotations
@@ -58,6 +71,23 @@ def _as_fraction(value) -> Fraction:
     )
 
 
+def _as_ints(values, what: str) -> tuple[int, ...]:
+    """values as a tuple, refusing anything but integers."""
+    out = tuple(values)
+    for v in out:
+        if not isinstance(v, int):
+            raise TypeError(f"{what} must be integers, not {type(v).__name__}")
+    return out
+
+
+def _fits(entry: int) -> int:
+    """entry, refused with ValueError when it does not fit a packed field."""
+    if entry >= FIELD_LIMIT:
+        raise ValueError(f"exponent {entry} does not fit a packed field "
+                         f"(limit 2^{FIELD_BITS - 1})")
+    return entry
+
+
 def total_degree(exp: Exponent) -> int:
     """Unweighted length of an exponent."""
     return sum(exp)
@@ -93,13 +123,14 @@ class Order:
     """Weighted-degree-first, then lexicographic, well-order on exponents.
 
     The sort key of an exponent b is (sum(w_i*b_i), b_1, ..., b_m) and smaller
-    keys come first; the zero exponent is the global minimum.
+    keys come first; the zero exponent is the global minimum. `pack` makes
+    that key one integer.
     """
 
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        ws = tuple(int(w) for w in self.weights)
+        ws = _as_ints(self.weights, "order weights")
         if any(w < 1 for w in ws):
             raise ValueError("order weights must be positive integers")
         object.__setattr__(self, "weights", ws)
@@ -117,22 +148,15 @@ class Order:
             raise ValueError("exponent arity does not match the order")
         return sum(map(mul, self.weights, exp))
 
-    def key(self, exp: Exponent):
-        if len(exp) != len(self.weights):
-            raise ValueError("exponent arity does not match the order")
-        return (sum(map(mul, self.weights, exp)), *exp)
-
     def pack(self, exp: Exponent) -> int:
         """The key of exp as one integer: integers compare as keys do, and
         adding two packed keys packs the sum of the exponents while every
         field stays below FIELD_LIMIT. An exponent past it is refused."""
         packed = self.length(exp)
         for e in exp:
-            if not 0 <= e < FIELD_LIMIT:
-                raise ValueError(
-                    f"exponent {e} does not fit a packed field "
-                    f"(limit 2^{FIELD_BITS - 1})")
-            packed = packed << FIELD_BITS | e
+            if e < 0:
+                raise ValueError("exponents must be nonnegative")
+            packed = packed << FIELD_BITS | _fits(e)
         return packed
 
     def unpack(self, packed: int) -> Exponent:
@@ -183,16 +207,13 @@ class Ring:
             raise ValueError(f"unknown variable {name!r}") from None
 
     def zero(self) -> "Poly":
-        return Poly(self, ())
+        return Poly(self, [], [], _ONE, 0)
 
     def constant(self, value) -> "Poly":
-        c = _as_fraction(value)
-        if not c:
-            return self.zero()
-        return Poly(self, (((0,) * self.arity, c),))
+        return self.monomial((0,) * self.arity, value)
 
     def monomial(self, exp: Exponent, coeff=1) -> "Poly":
-        return Poly.from_terms(self, [(tuple(exp), coeff)])
+        return Poly.from_terms(self, [(exp, coeff)])
 
     def variable(self, name: str) -> "Poly":
         i = self.var_index(name)
@@ -200,108 +221,145 @@ class Ring:
         return self.monomial(exp)
 
 
+def _merge(hk: list[int], hc: list[int], a: int,
+           gk: list[int], gc: list[int], b: int, shift: int,
+           end: int) -> tuple[list[int], list[int]]:
+    """a*h - b*x^shift*g[:end] on packed terms, zero sums dropped."""
+    keys: list[int] = []
+    ints: list[int] = []
+    push_key, push_int = keys.append, ints.append
+    i = j = 0
+    nh = len(hk)
+    if end:
+        kg = gk[0] + shift
+    while i < nh and j < end:
+        kh = hk[i]
+        if kh < kg:
+            push_key(kh)
+            push_int(a * hc[i])
+            i += 1
+            continue
+        if kh == kg:
+            c = a * hc[i] - b * gc[j]
+            if c:
+                push_key(kh)
+                push_int(c)
+            i += 1
+        else:
+            push_key(kg)
+            push_int(-b * gc[j])
+        j += 1
+        if j < end:
+            kg = gk[j] + shift
+    if i < nh:
+        keys += hk[i:]
+        ints += hc[i:] if a == 1 else [a * c for c in hc[i:]]
+    if j < end:
+        keys += [k + shift for k in gk[j:end]]
+        ints += [-b * c for c in gc[j:end]]
+    return keys, ints
+
+
 def _format_coeff(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 class Poly:
-    """Immutable sparse polynomial with terms ascending in the ring's order."""
+    """Immutable sparse polynomial scale * sum(ints[i] * x^e_i).
 
-    # `_packed` caches the form Mora's inner loop runs on; see `_packed_form`.
-    __slots__ = ("ring", "terms", "_packed")
+    `keys[i]` is `Order.pack` of e_i, strictly ascending in the ring's order,
+    the `ints` are nonzero and coprime, `scale` is a positive Fraction, and
+    `top` bounds every exponent entry below FIELD_LIMIT; it is the largest
+    entry unless terms cancelled, and it is not part of the value, so
+    equality and hashing skip it. Zero has no keys and the scale 1. Callers
+    must not mutate the lists.
+    """
 
-    def __init__(self, ring: Ring, terms: tuple[tuple[Exponent, Fraction], ...]):
-        # Trusted constructor: `terms` must already be canonical. Build with
-        # Poly.from_terms or the Ring helpers otherwise.
+    __slots__ = ("ring", "keys", "ints", "scale", "top", "_terms")
+
+    def __init__(self, ring: Ring, keys: list[int], ints: list[int],
+                 scale: Fraction, top: int):
+        # Trusted constructor: the fields must already be canonical. Build
+        # with Poly.from_terms, the Ring helpers or Poly._of otherwise.
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "top", top)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     @staticmethod
+    def _of(ring: Ring, keys: list[int], ints: list[int], scale: Fraction,
+            top: int) -> "Poly":
+        """The canonical form of scale * sum(ints[i] * x^keys[i]), for
+        strictly ascending keys and nonzero ints: the content and the sign
+        of scale move from the ints into the scale."""
+        content = math.gcd(*ints)
+        if not content:
+            return ring.zero()
+        if scale.numerator < 0:
+            content = -content
+        if content != 1:
+            ints = [c // content for c in ints]
+            scale = scale * content
+        return Poly(ring, keys, ints, scale, top)
+
+    @staticmethod
     def from_terms(ring: Ring, pairs: Iterable[tuple[Exponent, object]]) -> "Poly":
-        acc: dict[Exponent, Fraction] = {}
-        arity = ring.arity
+        acc: dict[int, Fraction] = {}
+        pack = ring.order.pack
+        top = 0
         for exp, coeff in pairs:
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != arity:
-                raise ValueError("exponent arity does not match the ring")
-            if any(e < 0 for e in exp):
-                raise ValueError("exponents must be nonnegative")
+            exp = _as_ints(exp, "exponents")
+            key = pack(exp)
             c = _as_fraction(coeff)
-            if not c:
-                continue
-            acc[exp] = acc.get(exp, _ZERO) + c
-        key = ring.order.key
-        items = tuple((e, acc[e]) for e in sorted(acc, key=key) if acc[e])
-        return Poly(ring, items)
+            if c:
+                acc[key] = acc.get(key, _ZERO) + c
+                top = max(top, *exp)
+        keys = sorted(k for k, c in acc.items() if c)
+        den = math.lcm(*(acc[k].denominator for k in keys))
+        ints = [acc[k].numerator * (den // acc[k].denominator) for k in keys]
+        return Poly._of(ring, keys, ints, Fraction(1, den), top)
 
     # ------------------------------------------------------------------
     # inspection
 
     @property
+    def terms(self) -> tuple[tuple[Exponent, Fraction], ...]:
+        """(exponent, coefficient) pairs ascending in the ring's order,
+        built on first read and kept."""
+        try:
+            return self._terms
+        except AttributeError:
+            pass
+        num, den = self.scale.numerator, self.scale.denominator
+        terms = tuple(zip(self.ring.order.unpack_all(self.keys),
+                          [Fraction(num * c, den) for c in self.ints]))
+        object.__setattr__(self, "_terms", terms)
+        return terms
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.keys
 
     @property
     def constant_term(self) -> Fraction:
-        if self.terms and not any(self.terms[0][0]):
-            return self.terms[0][1]
+        if self.keys and not self.keys[0]:
+            return self.scale * self.ints[0]
         return _ZERO
 
     def initial_exponent(self) -> Exponent:
         """Order-minimal exponent of the support."""
-        if not self.terms:
+        if not self.keys:
             raise ValueError("the zero polynomial has no initial exponent")
-        return self.terms[0][0]
+        return self.ring.order.unpack(self.keys[0])
 
     def initial_coefficient(self) -> Fraction:
-        if not self.terms:
+        if not self.keys:
             raise ValueError("the zero polynomial has no initial coefficient")
-        return self.terms[0][1]
-
-    def ecart(self) -> int:
-        """Weighted-length spread between the top and the initial exponent."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no ecart")
-        length = self.ring.order.length
-        # Terms ascend length-first, so the last term has the largest length.
-        return length(self.terms[-1][0]) - length(self.terms[0][0])
-
-    def _packed_form(self) -> tuple[list[int], list[int], Fraction, int]:
-        """(keys, ints, scale, top): self is scale * sum(ints[i] * x^e_i),
-        where keys[i] is `Order.pack` of e_i, ascending, the ints are coprime
-        integers, and top bounds every exponent entry. Computed on first use
-        and kept, so a basis element is converted once; callers must not
-        mutate the lists."""
-        try:
-            return self._packed
-        except AttributeError:
-            pass
-        pack = self.ring.order.pack
-        keys = [pack(e) for e, _ in self.terms]
-        top = max((max(e, default=0) for e, _ in self.terms), default=0)
-        den = math.lcm(*(c.denominator for _, c in self.terms))
-        ints = [c.numerator * (den // c.denominator) for _, c in self.terms]
-        content = math.gcd(*ints) or 1
-        if content != 1:
-            ints = [c // content for c in ints]
-        form = (keys, ints, Fraction(content, den), top)
-        object.__setattr__(self, "_packed", form)
-        return form
-
-    @staticmethod
-    def _from_packed(ring: Ring, keys: list[int], ints: list[int],
-                     scale: Fraction, top: int) -> "Poly":
-        """The polynomial scale * sum(ints[i] * x^keys[i]), keeping that as
-        its packed form. The keys must ascend, the ints must be coprime, and
-        top must bound the exponent entries below FIELD_LIMIT."""
-        num, den = scale.numerator, scale.denominator
-        p = Poly(ring, tuple(zip(ring.order.unpack_all(keys),
-                                 [Fraction(num * c, den) for c in ints])))
-        object.__setattr__(p, "_packed", (keys, ints, scale, top))
-        return p
+        return self.scale * self.ints[0]
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -315,44 +373,20 @@ class Poly:
             return self.ring.constant(other)
         return None
 
-    def _combine(self, other: "Poly", sign: int) -> "Poly":
-        key = self.ring.order.key
-        a, b = self.terms, other.terms
-        # Each term is keyed once per merge, not once per comparison.
-        ka = [key(e) for e, _ in a]
-        kb = [key(e) for e, _ in b]
-        out: list[tuple[Exponent, Fraction]] = []
-        i = j = 0
-        na, nb = len(a), len(b)
-        while i < na and j < nb:
-            ea, ca = a[i]
-            eb, cb = b[j]
-            if ea == eb:
-                c = ca + cb if sign > 0 else ca - cb
-                if c:
-                    out.append((ea, c))
-                i += 1
-                j += 1
-            elif ka[i] < kb[j]:
-                out.append((ea, ca))
-                i += 1
-            else:
-                out.append((eb, cb if sign > 0 else -cb))
-                j += 1
-        if i < na:
-            out.extend(a[i:])
-        if j < nb:
-            if sign > 0:
-                out.extend(b[j:])
-            else:
-                out.extend((e, -c) for e, c in b[j:])
-        return Poly(self.ring, tuple(out))
-
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._combine(o, +1)
+        if not o.keys:
+            return self
+        if not self.keys:
+            return o
+        # self + o = (o.scale/q) * (p*H + q*G) with p/q = self.scale/o.scale.
+        r = self.scale / o.scale
+        keys, ints = _merge(self.keys, self.ints, r.numerator,
+                            o.keys, o.ints, -r.denominator, 0, len(o.keys))
+        return Poly._of(self.ring, keys, ints, o.scale / r.denominator,
+                        max(self.top, o.top))
 
     __radd__ = __add__
 
@@ -360,22 +394,24 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._combine(o, -1)
+        return self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o._combine(self, -1)
+        return o + -self
 
     def __neg__(self):
-        return Poly(self.ring, tuple((e, -c) for e, c in self.terms))
+        return Poly(self.ring, self.keys, [-c for c in self.ints], self.scale,
+                    self.top)
 
     def scaled(self, factor) -> "Poly":
         c = _as_fraction(factor)
-        if not c:
+        if not c or not self.keys:
             return self.ring.zero()
-        return Poly(self.ring, tuple((e, c * v) for e, v in self.terms))
+        ints = self.ints if c > 0 else [-v for v in self.ints]
+        return Poly(self.ring, self.keys, ints, self.scale * abs(c), self.top)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -383,17 +419,19 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        acc: dict[Exponent, Fraction] = {}
-        for ea, ca in self.terms:
-            for eb, cb in o.terms:
-                e = exp_add(ea, eb)
-                c = acc.get(e, _ZERO) + ca * cb
-                if c:
-                    acc[e] = c
-                else:
-                    acc.pop(e, None)
-        key = self.ring.order.key
-        return Poly(self.ring, tuple((e, acc[e]) for e in sorted(acc, key=key)))
+        if not self.keys or not o.keys:
+            return self.ring.zero()
+        top = _fits(self.top + o.top)
+        acc: dict[int, int] = {}
+        get = acc.get
+        for ka, ca in zip(self.keys, self.ints):
+            for kb, cb in zip(o.keys, o.ints):
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+        keys = sorted(k for k, c in acc.items() if c)
+        # The integer parts are primitive, so their product is too.
+        return Poly(self.ring, keys, [acc[k] for k in keys],
+                    self.scale * o.scale, top)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -412,28 +450,13 @@ class Poly:
             n >>= 1
         return result
 
-    def _sub_shifted(self, coeff: Fraction, shift: Exponent, other: "Poly") -> "Poly":
-        """self - coeff * x^shift * other, without re-sorting.
-
-        Shifting preserves the order of terms, so the shifted copy of `other`
-        is already canonical and a linear merge suffices. This is the inner
-        step of Mora reduction.
-        """
-        shifted = tuple((exp_add(e, shift), c * coeff) for e, c in other.terms)
-        return self._combine(Poly(self.ring, shifted), -1)
-
     def content_normalized(self) -> "Poly":
         """Scale by a rational so coefficients are coprime integers and the
-        initial coefficient is positive. It goes through the packed form, so
-        an exponent entry past FIELD_LIMIT is refused with ValueError."""
-        if not self.terms:
+        initial coefficient is positive."""
+        if not self.keys or (self.scale == 1 and self.ints[0] > 0):
             return self
-        # The packed form's integer part is the answer up to sign, and the
-        # result keeps it, so a standard basis element is packed once.
-        keys, ints, _, top = self._packed_form()
-        if ints[0] < 0:
-            ints = [-c for c in ints]
-        return Poly._from_packed(self.ring, keys, ints, _ONE, top)
+        ints = self.ints if self.ints[0] > 0 else [-c for c in self.ints]
+        return Poly(self.ring, self.keys, ints, _ONE, self.top)
 
     # ------------------------------------------------------------------
     # jets, evaluation, coordinate changes
@@ -442,7 +465,10 @@ class Poly:
         """Truncation keeping the terms of total degree at most mu."""
         if not isinstance(mu, int) or mu < 0:
             raise ValueError("jet order must be a nonnegative integer")
-        return Poly(self.ring, tuple((e, c) for e, c in self.terms if sum(e) <= mu))
+        exps = self.ring.order.unpack_all(self.keys)
+        kept = [i for i, e in enumerate(exps) if sum(e) <= mu]
+        return Poly._of(self.ring, [self.keys[i] for i in kept],
+                        [self.ints[i] for i in kept], self.scale, self.top)
 
     def apply_coord_change(self, change: "CoordChange") -> "Poly":
         """Substitute x_i -> sum_j c_ij x_j on every variable."""
@@ -499,10 +525,12 @@ class Poly:
             other = self.ring.constant(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return (self.ring == other.ring and self.keys == other.keys
+                and self.ints == other.ints and self.scale == other.scale)
 
     def __hash__(self):
-        return hash((self.ring, self.terms))
+        return hash((self.ring, tuple(self.keys), tuple(self.ints),
+                     self.scale))
 
 
 def resolve_ring(gens, ring: Ring | None) -> tuple[tuple[Poly, ...], Ring]:

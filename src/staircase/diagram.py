@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations, product
 from typing import Iterable
 
-from .core import Exponent, Order, exp_divides, total_degree
+from .core import Exponent, Order, _as_ints, exp_divides, total_degree
 
 __all__ = [
     "Diagram",
@@ -85,7 +85,7 @@ class Diagram:
     vertices: tuple[Exponent, ...]
 
     def __post_init__(self):
-        vs = tuple(tuple(int(x) for x in v) for v in self.vertices)
+        vs = tuple(_as_ints(v, "vertices") for v in self.vertices)
         for v in vs:
             if len(v) != self.arity:
                 raise ValueError("vertex arity does not match the diagram")
@@ -103,7 +103,7 @@ class Diagram:
         cls, exps: Iterable[Exponent], arity: int | None = None
     ) -> "Diagram":
         """Diagram generated by a finite exponent set (minimal elements kept)."""
-        pts = [tuple(int(x) for x in e) for e in exps]
+        pts = [tuple(e) for e in exps]
         if pts:
             found = len(pts[0])
             if any(len(p) != found for p in pts):
@@ -195,4 +195,4 @@ def first_difference(a: Diagram, b: Diagram, order: Order,
         raise ValueError("diagrams have different arities")
     lacking = [v for mine, other in ((a, b), (b, a)) for v in mine.vertices
                if order.length(v) < bound and not other.contains(v)]
-    return min(lacking, key=order.key, default=None)
+    return min(lacking, key=order.pack, default=None)

@@ -33,19 +33,12 @@ ideal by Nakayama, the cap changes nothing, and the capped basis is a
 standard basis of the ideal itself. An ideal whose complement is infinite
 never certifies and ends in the resource error.
 
-Mora's loop and the s-polynomials run on a packed form of each polynomial
-(Monagan-Pearce, Polynomial division using dynamic arrays, heaps, and packed
-exponent vectors, CASC 2007). A term's key is one integer with the weighted
-length in the top field and e_1..e_m in fixed-width fields below it, so
-comparing two terms is one integer comparison, shifting a term is one
-addition, and the cap is a bisection. Coefficients are coprime integers
-times one exact Fraction scale per polynomial: a step forms a*h - b*x^s*g
-with integer a and b that cancel the initial term, divides out the content
-with one gcd, and folds a and the content into the scale. Each basis
-element is converted once and keeps its packed form. The values are exact
-throughout, so remainders, traces and the work budget's measure are those
-of the same steps in Fraction arithmetic; an exponent past the field width
-is refused with ValueError, never wrapped.
+Mora's loop and the s-polynomials read and build the packed form that `Poly`
+stores (see `core`), and the cap is a bisection on its keys. A step forms
+a*h - b*x^s*g with integer a and b that cancel the initial term, divides out
+the content with one gcd, and folds a and the content into the scale. The
+values are exact throughout, so remainders, traces and the work budget's
+measure are those of the same steps in Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -59,8 +52,8 @@ from functools import cached_property
 from math import gcd
 
 from .core import (
-    FIELD_BITS, FIELD_LIMIT, Exponent, Poly, Ring, exp_add, exp_lcm,
-    resolve_ring,
+    FIELD_BITS, FIELD_LIMIT, Exponent, Poly, Ring, _fits, _merge, exp_add,
+    exp_lcm, resolve_ring,
 )
 from .diagram import Diagram, covering_length
 
@@ -179,8 +172,8 @@ class MoraTrace:
                 kept[i] = unit
             if step.reducer in joined:
                 assert any(step.shift), "pooled reducer used with trivial shift"
-                unit = unit._sub_shifted(step.coeff, step.shift,
-                                         kept[joined[step.reducer]])
+                unit = unit - (self.ring.monomial(step.shift, step.coeff)
+                               * kept[joined[step.reducer]])
         return unit
 
 
@@ -197,79 +190,12 @@ class _Entry:
     label: str
 
 
-def _below(p: Poly, cap: int | None) -> Poly:
-    """p without its terms of length >= cap.
-
-    Terms ascend length-first, so the kept ones form a prefix; the scan runs
-    from the tail, where the deep terms are.
-    """
-    if cap is None:
-        return p
-    length = p.ring.order.length
-    terms = p.terms
-    end = len(terms)
-    while end and length(terms[end - 1][0]) >= cap:
-        end -= 1
-    if end == len(terms):
-        return p
-    return Poly(p.ring, terms[:end])
-
-
-def _merge(hk: list[int], hc: list[int], a: int,
-           gk: list[int], gc: list[int], b: int, shift: int,
-           end: int) -> tuple[list[int], list[int]]:
-    """a*h - b*x^shift*g[:end] on packed terms, whose initial terms cancel."""
-    keys: list[int] = []
-    ints: list[int] = []
-    push_key, push_int = keys.append, ints.append
-    i, j = 1, 1
-    nh = len(hk)
-    if j < end:
-        kg = gk[j] + shift
-    while i < nh and j < end:
-        kh = hk[i]
-        if kh < kg:
-            push_key(kh)
-            push_int(a * hc[i])
-            i += 1
-            continue
-        if kh == kg:
-            c = a * hc[i] - b * gc[j]
-            if c:
-                push_key(kh)
-                push_int(c)
-            i += 1
-        else:
-            push_key(kg)
-            push_int(-b * gc[j])
-        j += 1
-        if j < end:
-            kg = gk[j] + shift
-    if i < nh:
-        keys += hk[i:]
-        ints += hc[i:] if a == 1 else [a * c for c in hc[i:]]
-    if j < end:
-        keys += [k + shift for k in gk[j:end]]
-        ints += [-b * c for c in gc[j:end]]
-    return keys, ints
-
-
 def _primitive(ints: list[int]) -> tuple[list[int], int]:
     """ints divided by their content, and the content (0 for no ints)."""
     content = gcd(*ints)
     if content > 1:
         ints = [c // content for c in ints]
     return ints, content
-
-
-def _reach(top: int, shift: Exponent) -> int:
-    """A bound on the exponent entries of x^shift times a polynomial whose
-    entries are at most top; refuses one that does not fit a packed field."""
-    reach = top + max(shift)
-    if reach >= FIELD_LIMIT:
-        raise ValueError(f"exponent {reach} does not fit a packed field "
-                         f"(limit 2^{FIELD_BITS - 1})")
-    return reach
 
 
 def mora_normal_form(
@@ -314,12 +240,10 @@ def mora_normal_form(
     # fields, so a key below B << low is a term shorter than B.
     low = FIELD_BITS * ring.arity
     guards = sum(FIELD_LIMIT << (FIELD_BITS * i) for i in range(ring.arity))
-    pool = []
-    for i, g in enumerate(reducers):
-        gk, gc, gs, gtop = g._packed_form()
-        pool.append(_Entry(gk, gc, gs, gtop, (gk[-1] >> low) - (gk[0] >> low),
-                           f"r{i}"))
-    keys, ints, scale, top = f._packed_form()
+    pool = [_Entry(g.keys, g.ints, g.scale, g.top,
+                   (g.keys[-1] >> low) - (g.keys[0] >> low), f"r{i}")
+            for i, g in enumerate(reducers)]
+    keys, ints, scale, top = f.keys, f.ints, f.scale, f.top
     if length_cap is not None and keys and keys[-1] >= length_cap << low:
         end = bisect_left(keys, length_cap << low)
         ints, content = _primitive(ints[:end])
@@ -350,7 +274,7 @@ def mora_normal_form(
             pooled_at.append(len(steps))
         shift = lead - chosen.keys[0]
         shift_exp = unpack(shift)
-        top = max(top, _reach(chosen.top, shift_exp))
+        top = max(top, _fits(chosen.top + max(shift_exp)))
         hc0, gc0, gs = ints[0], chosen.ints[0], chosen.scale
         steps.append(MoraStep(chosen.label, shift_exp, Fraction(
             scale.numerator * hc0 * gs.denominator,
@@ -372,7 +296,7 @@ def mora_normal_form(
                                 + c.denominator.bit_length())
             if size > budget:
                 raise WorkBudgetExceeded(budget)
-    remainder = Poly._from_packed(ring, keys, ints, scale, top)
+    remainder = Poly._of(ring, keys, ints, scale, top)
     assert remainder.is_zero or all(
         ((keys[0] | guards) - entry.keys[0]) & guards != guards
         for entry in pool)
@@ -406,12 +330,11 @@ def _spoly(f: Poly, g: Poly, cap: int | None) -> Poly:
     """The s-polynomial of f and g without its terms of length >= cap."""
     ring = f.ring
     low = FIELD_BITS * ring.arity
-    fk, fc, _, ftop = f._packed_form()
-    gk, gc, _, gtop = g._packed_form()
+    fk, fc, gk, gc = f.keys, f.ints, g.keys, g.ints
     lcm = ring.order.pack(exp_lcm(f.initial_exponent(), g.initial_exponent()))
     sf, sg = lcm - fk[0], lcm - gk[0]
-    top = max(_reach(ftop, ring.order.unpack(sf)),
-              _reach(gtop, ring.order.unpack(sg)))
+    top = max(_fits(f.top + max(ring.order.unpack(sf))),
+              _fits(g.top + max(ring.order.unpack(sg))))
     end_f, end_g = len(fk), len(gk)
     if cap is not None:
         end_f = bisect_left(fk, (cap - (sf >> low)) << low)
@@ -422,9 +345,7 @@ def _spoly(f: Poly, g: Poly, cap: int | None) -> Poly:
     a, b = gc[0] // d, fc[0] // d
     keys, ints = _merge([k + sf for k in fk[:end_f]], fc[:end_f], a,
                         gk, gc, b, sg, end_g)
-    ints, content = _primitive(ints)
-    return Poly._from_packed(ring, keys, ints,
-                            Fraction(content, a * fc[0]), top)
+    return Poly._of(ring, keys, ints, Fraction(1, a * fc[0]), top)
 
 
 def _unit_free(f: Poly) -> Poly:
@@ -433,10 +354,10 @@ def _unit_free(f: Poly) -> Poly:
     f is x^d*u with u(0) != 0 exactly when its initial exponent d is the
     componentwise minimum of its support.
     """
-    if not f.terms:
+    if f.is_zero:
         return f
     d = f.initial_exponent()
-    if tuple(map(min, zip(*(e for e, _ in f.terms)))) != d:
+    if tuple(map(min, zip(*f.ring.order.unpack_all(f.keys)))) != d:
         return f
     return f.ring.monomial(d)
 
@@ -491,19 +412,22 @@ def standard_basis(
 def _complete(gens: list[Poly], ring: Ring, pool_ceiling: int | None,
               length_cap: int | None) -> SBasis:
     """The completion loop of `standard_basis`, capped or under the budget."""
-    basis: list[Poly] = [
-        g.content_normalized()
-        for g in (_below(f, length_cap) for f in gens)
-        if not g.is_zero]
+    basis: list[Poly] = []
+    for f in gens:
+        # Terms ascend length-first, so those below the cap are a prefix.
+        end = len(f.keys) if length_cap is None else bisect_left(
+            f.keys, length_cap << FIELD_BITS * ring.arity)
+        if end:
+            basis.append(Poly._of(ring, f.keys[:end], f.ints[:end], f.scale,
+                                  f.top).content_normalized())
     inexps: list[Exponent] = [b.initial_exponent() for b in basis]
     records: list[SPairRecord] = []
-    order_key = ring.order.key
-    heap: list[tuple[tuple, int, int]] = []
+    pack = ring.order.pack
+    heap: list[tuple[int, int, int]] = []
 
     def push_pairs(j: int) -> None:
         for i in range(j):
-            lcm = exp_lcm(inexps[i], inexps[j])
-            heapq.heappush(heap, (order_key(lcm), i, j))
+            heapq.heappush(heap, (pack(exp_lcm(inexps[i], inexps[j])), i, j))
 
     for j in range(len(basis)):
         push_pairs(j)

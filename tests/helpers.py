@@ -1,5 +1,6 @@
-"""Seeded random data shared across the test files."""
+"""Seeded random data and checks shared across the test files."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -82,3 +83,16 @@ def vanishing_poly(rng: random.Random, ring: Ring,
         p = p - ring.constant(p.constant_term)
         if not p.is_zero:
             return p
+
+
+def is_canonical(p: Poly) -> bool:
+    """The stored fields are the canonical form of p.terms: keys strictly
+    ascending and packing the exponents, coprime nonzero integers, a
+    positive scale (1 for zero), and top bounding every exponent entry."""
+    exps = [e for e, _ in p.terms]
+    return (p.keys == sorted(set(p.keys))
+            and p.keys == [p.ring.order.pack(e) for e in exps]
+            and [p.scale * c for c in p.ints] == [c for _, c in p.terms]
+            and all(p.ints) and math.gcd(*p.ints) in (0, 1)
+            and p.scale > 0 and (p.keys or p.scale == 1)
+            and all(max(e) <= p.top for e in exps))

@@ -230,7 +230,7 @@ def test_criterion_10_invariance_and_property_loops(announce):
             a = random_exponent(order_rng, ring.arity, 6)
             b = random_exponent(order_rng, ring.arity, 6)
             c = random_exponent(order_rng, ring.arity, 6)
-            key = order.key
+            key = order.pack
             ka, kb, kc = key(a), key(b), key(c)
             assert (ka == kb) == (a == b)
             if ka <= kb <= kc:

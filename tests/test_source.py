@@ -1,6 +1,9 @@
-"""Source hygiene: every name a module imports is used or re-exported."""
+"""Source hygiene: every name a module imports is used or re-exported, and
+every name the benchmark's tracer wraps exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,20 @@ def test_unused_imports_finds_leftovers():
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_imported_name_is_used_or_exported(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_every_name_the_tracer_wraps_resolves():
+    # perfbench/spans.py wraps library names by string, so a rename or a
+    # deletion in src/staircase must fail here, not only in a traced run.
+    spec = importlib.util.spec_from_file_location(
+        "spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for layer, (functions, classes) in spans.LAYERS.items():
+        module = importlib.import_module(f"staircase.{layer}")
+        for name in functions:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"
+        for clsname, methods in classes.items():
+            cls = getattr(module, clsname)
+            for name in methods:
+                assert name in cls.__dict__, f"{layer}.{clsname}.{name}"
