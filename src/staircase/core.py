@@ -269,10 +269,11 @@ class Poly:
 
     `keys[i]` is `Order.pack` of e_i, strictly ascending in the ring's order,
     the `ints` are nonzero and coprime, `scale` is a positive Fraction, and
-    `top` bounds every exponent entry below FIELD_LIMIT; it is the largest
-    entry unless terms cancelled, and it is not part of the value, so
-    equality and hashing skip it. Zero has no keys and the scale 1. Callers
-    must not mutate the lists.
+    `top` bounds every exponent entry below FIELD_LIMIT: `from_terms` sets
+    the largest entry, and arithmetic keeps a bound that cancellations and
+    products may leave loose. It is not part of the value, so equality and
+    hashing skip it. Zero has no keys and the scale 1. Callers must not
+    mutate the lists.
     """
 
     __slots__ = ("ring", "keys", "ints", "scale", "top", "_terms")
@@ -421,7 +422,6 @@ class Poly:
             return NotImplemented
         if not self.keys or not o.keys:
             return self.ring.zero()
-        top = _fits(self.top + o.top)
         acc: dict[int, int] = {}
         get = acc.get
         for ka, ca in zip(self.keys, self.ints):
@@ -429,6 +429,12 @@ class Poly:
                 k = ka + kb
                 acc[k] = get(k, 0) + ca * cb
         keys = sorted(k for k, c in acc.items() if c)
+        top = self.top + o.top
+        if top >= FIELD_LIMIT:
+            # The bound is loose when the entries peak in different
+            # variables or terms cancelled. A field sum stays below 2^32,
+            # so it never carries and unpacks whole.
+            top = _fits(max(map(max, self.ring.order.unpack_all(keys))))
         # The integer parts are primitive, so their product is too.
         return Poly(self.ring, keys, [acc[k] for k in keys],
                     self.scale * o.scale, top)

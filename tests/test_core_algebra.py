@@ -216,6 +216,10 @@ def test_packing_refuses_what_does_not_fit_its_field():
     assert half.top == FIELD_LIMIT // 2
     with pytest.raises(ValueError):
         half * half
+    # The sum of the two bounds reaches the limit, but no entry does.
+    other = RING.monomial((FIELD_LIMIT // 2, 0))
+    assert (half * other).top == FIELD_LIMIT // 2
+    assert ((other + Y - other) * half).terms == (((0, FIELD_LIMIT // 2 + 1), 1),)
 
 
 def test_packed_form_is_a_primitive_integer_part_and_a_scale():
