@@ -11,25 +11,17 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 import time
 from typing import Callable, NamedTuple, Sequence
 
 from .core import Order, Ring, determinant
-from .demo import presentation_rows
-from .determinacy import (
-    SourceNotCompleteIntersection,
-    flat_ci,
-    jet_ideal,
-    jet_sweep,
-    milnor_mu0,
-    regseq_axis_certificate,
-    regular_sequence,
-)
-from .jet_oracle import oracle_cross_check
 from .problemfile import ProblemError, parse_problem
 from .standard_basis import PoolLimitExceeded, diagram_of_ideal, standard_basis
+
+# Runners import what they call from determinacy, jet_oracle and demo, and
+# renderers import json, when they run, so a process loads only what its
+# command uses; a name rebound in its module (as by a tracer) is the one called.
 
 __all__ = ["main", "build_parser", "REPORT_SCHEMA"]
 
@@ -156,6 +148,7 @@ def _fmt_flag(value: bool) -> str:
 
 
 def _fmt_certificate(verdict: dict) -> str:
+    import json
     return json.dumps(verdict["certificate"], sort_keys=True)
 
 
@@ -216,6 +209,7 @@ def _window_bound(args, bound: int) -> int:
 
 
 def _run_regseq(args, ring, gens):
+    from .determinacy import regseq_axis_certificate, regular_sequence
     bound = None if args.bound is None else _window_bound(args, args.bound)
     entry = {"verdict": regular_sequence(gens, ring=ring).to_dict()}
     if bound is not None:
@@ -236,6 +230,7 @@ def _show_regseq(entry):
 
 
 def _run_flat_ci(args, ring, spec):
+    from .determinacy import SourceNotCompleteIntersection, flat_ci
     try:
         return {"verdict": flat_ci(spec).to_dict()}
     except SourceNotCompleteIntersection as exc:
@@ -254,6 +249,7 @@ def _not_yes(entry) -> bool:
 
 
 def _run_milnor(args, ring, spec):
+    from .determinacy import milnor_mu0
     value = milnor_mu0(spec)
     return {"milnor_mu0": value, "finite": value is not None}
 
@@ -265,6 +261,7 @@ def _show_milnor(entry):
 
 
 def _run_jet(args, ring, gens):
+    from .determinacy import jet_ideal
     jets = jet_ideal(gens, args.mu)
     return {
         "mu": args.mu,
@@ -281,6 +278,7 @@ def _show_jet(entry):
 
 
 def _run_sweep(args, ring, gens):
+    from .determinacy import jet_sweep
     low, high = args.mu
     rep = jet_sweep(gens, low, high, length_bound=args.length, ring=ring)
     return {
@@ -320,6 +318,7 @@ def _show_sweep(entry):
 
 
 def _run_oracle_check(args, ring, gens):
+    from .jet_oracle import oracle_cross_check
     top = _window_bound(args, args.bound if args.bound is not None
                         else _DEFAULT_BOUND)
     rep = oracle_cross_check(gens, top, ring=ring)
@@ -343,6 +342,7 @@ def _show_oracle_check(entry):
 
 
 def _run_det_example(args):
+    from .demo import presentation_rows
     low, high = args.mu
     if low < 5:
         raise _UsageError("det-example needs mu at least 5")
@@ -493,6 +493,7 @@ def _dispatch(args):
 
 def _render(report: dict, as_json: bool) -> str:
     if as_json:
+        import json
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
     lines = [f"command: {report['command']}"]
     inputs = report["inputs"]

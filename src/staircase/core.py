@@ -27,7 +27,6 @@ coefficients, exponents, order weights and diagram vertices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, mul, sub
 from typing import Iterable, Sequence
@@ -88,6 +87,18 @@ def _fits(entry: int) -> int:
     return entry
 
 
+def _reach(order: "Order", bound: int, keys: list[int], shift: int,
+           end: int) -> int:
+    """A bound on the exponent entries of x^shift * x^keys[i] for i < end:
+    `bound`, the sum of the factors' bounds, while it fits a field, else the
+    largest entry, refused if it does not fit. The sum is loose when the
+    factors peak in different variables; a field sum unpacks whole."""
+    if bound < FIELD_LIMIT:
+        return bound
+    shifted = [k + shift for k in keys[:end]]
+    return _fits(max(map(max, order.unpack_all(shifted)), default=0))
+
+
 def total_degree(exp: Exponent) -> int:
     """Unweighted length of an exponent."""
     return sum(exp)
@@ -118,22 +129,35 @@ def exp_lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(map(max, a, b))
 
 
-@dataclass(frozen=True)
 class Order:
     """Weighted-degree-first, then lexicographic, well-order on exponents.
 
     The sort key of an exponent b is (sum(w_i*b_i), b_1, ..., b_m) and smaller
     keys come first; the zero exponent is the global minimum. `pack` makes
-    that key one integer.
+    that key one integer. Orders are immutable values.
     """
 
-    weights: tuple[int, ...]
-
-    def __post_init__(self):
-        ws = _as_ints(self.weights, "order weights")
+    def __init__(self, weights: tuple[int, ...]):
+        ws = _as_ints(weights, "order weights")
         if any(w < 1 for w in ws):
             raise ValueError("order weights must be positive integers")
         object.__setattr__(self, "weights", ws)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Order is immutable")
+
+    def __eq__(self, other):
+        if self is other:  # every Poly sum and product compares orders
+            return True
+        if other.__class__ is not Order:
+            return NotImplemented
+        return self.weights == other.weights
+
+    def __hash__(self):
+        return hash(self.weights)
+
+    def __repr__(self):
+        return f"Order(weights={self.weights!r})"
 
     @staticmethod
     def unit(arity: int) -> "Order":
@@ -172,29 +196,41 @@ class Order:
                           for s in shifts]))
 
 
-@dataclass(frozen=True)
 class Ring:
     """A ring of convergent power series, handled through polynomial data.
 
-    The order defaults to unit weights.
+    The order defaults to unit weights. Rings are immutable values.
     """
 
-    variables: tuple[str, ...]
-    order: Order | None = None
-
-    def __post_init__(self):
-        names = tuple(str(v) for v in self.variables)
+    def __init__(self, variables: tuple[str, ...], order: Order | None = None):
+        names = tuple(str(v) for v in variables)
         if not names:
             raise ValueError("a ring needs at least one variable")
         if any(not n for n in names):
             raise ValueError("variable names must be nonempty")
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
-        order = self.order if self.order is not None else Order.unit(len(names))
+        order = order if order is not None else Order.unit(len(names))
         if order.arity != len(names):
             raise ValueError("order arity does not match the variable count")
         object.__setattr__(self, "variables", names)
         object.__setattr__(self, "order", order)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Ring is immutable")
+
+    def __eq__(self, other):
+        if self is other:  # see Order.__eq__
+            return True
+        if other.__class__ is not Ring:
+            return NotImplemented
+        return self.variables == other.variables and self.order == other.order
+
+    def __hash__(self):
+        return hash((self.variables, self.order))
+
+    def __repr__(self):
+        return f"Ring(variables={self.variables!r}, order={self.order!r})"
 
     @property
     def arity(self) -> int:
@@ -429,12 +465,7 @@ class Poly:
                 k = ka + kb
                 acc[k] = get(k, 0) + ca * cb
         keys = sorted(k for k, c in acc.items() if c)
-        top = self.top + o.top
-        if top >= FIELD_LIMIT:
-            # The bound is loose when the entries peak in different
-            # variables or terms cancelled. A field sum stays below 2^32,
-            # so it never carries and unpacks whole.
-            top = _fits(max(map(max, self.ring.order.unpack_all(keys))))
+        top = _reach(self.ring.order, self.top + o.top, keys, 0, len(keys))
         # The integer parts are primitive, so their product is too.
         return Poly(self.ring, keys, [acc[k] for k in keys],
                     self.scale * o.scale, top)
@@ -577,20 +608,31 @@ def _fraction_matrix_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return det
 
 
-@dataclass(frozen=True)
 class CoordChange:
-    """Invertible linear substitution on the variables."""
+    """Invertible linear substitution on the variables, an immutable value."""
 
-    matrix: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(_as_fraction(c) for c in row) for row in self.matrix)
+    def __init__(self, matrix: tuple[tuple[Fraction, ...], ...]):
+        rows = tuple(tuple(_as_fraction(c) for c in row) for row in matrix)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("coordinate change matrix must be square and nonempty")
         if not _fraction_matrix_det(rows):
             raise ValueError("coordinate change matrix is singular")
         object.__setattr__(self, "matrix", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CoordChange is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not CoordChange:
+            return NotImplemented
+        return self.matrix == other.matrix
+
+    def __hash__(self):
+        return hash(self.matrix)
+
+    def __repr__(self):
+        return f"CoordChange(matrix={self.matrix!r})"
 
     @staticmethod
     def identity(n: int) -> "CoordChange":

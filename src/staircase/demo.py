@@ -26,14 +26,15 @@ def truncated_series_generators(ring: Ring | None = None,
         ring = demo_ring()
     if depth < 6:
         raise ValueError("depth must be at least 6 to include every staircase corner")
-    x = ring.variable("x")
-    y = ring.variable("y")
-    f1 = x ** 3 * y
-    for k in range(4, depth):
-        f1 = f1 + x * y ** k
-    f2 = x ** 2 * y ** 3
-    for k in range(6, depth + 1):
-        f2 = f2 + y ** k
+    ex, ey = (ring.variable(v).initial_exponent() for v in "xy")
+
+    def term(a: int, b: int) -> tuple[tuple[int, ...], int]:
+        return tuple(a * i + b * j for i, j in zip(ex, ey)), 1
+
+    f1 = Poly.from_terms(ring, [term(3, 1)]
+                         + [term(1, k) for k in range(4, depth)])
+    f2 = Poly.from_terms(ring, [term(2, 3)]
+                         + [term(0, k) for k in range(6, depth + 1)])
     return f1, f2
 
 

@@ -13,9 +13,9 @@ the answer is forced.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import CoordChange, Exponent, Poly, Ring, resolve_ring, total_degree
 from .diagram import Diagram, axis_powers
@@ -57,8 +57,7 @@ class VerdictKind(str, Enum):
     UNKNOWN_AT_BOUND = "unknown-at-bound"
 
 
-@dataclass(frozen=True, eq=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: VerdictKind
     certificate: dict
     bound: int | None = None
@@ -102,28 +101,42 @@ class NoCertifiedBound(RuntimeError):
     """Neither the finite-fibre nor the certified-flat route yields a bound."""
 
 
-@dataclass(frozen=True)
 class MapSpec:
     """A polynomial map germ V(relations) -> K^n at the origin of K^m.
 
     `components` are the n coordinate functions; both relations and
-    components must vanish at the origin.
+    components must vanish at the origin. Map germs are immutable values.
     """
 
-    ring: Ring
-    relations: tuple[Poly, ...]
-    components: tuple[Poly, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "relations", tuple(self.relations))
-        object.__setattr__(self, "components", tuple(self.components))
-        if not self.relations and not self.components:
+    def __init__(self, ring: Ring, relations: tuple[Poly, ...],
+                 components: tuple[Poly, ...]):
+        relations, components = tuple(relations), tuple(components)
+        if not relations and not components:
             raise ValueError("a map germ needs at least one relation or component")
-        for p in self.relations + self.components:
-            if not isinstance(p, Poly) or p.ring != self.ring:
+        for p in relations + components:
+            if not isinstance(p, Poly) or p.ring != ring:
                 raise ValueError("relations and components must live in the ring")
             if p.constant_term:
                 raise ValueError("relations and components must vanish at the origin")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "components", components)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MapSpec is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not MapSpec:
+            return NotImplemented
+        return (self.ring, self.relations, self.components) == (
+            other.ring, other.relations, other.components)
+
+    def __hash__(self):
+        return hash((self.ring, self.relations, self.components))
+
+    def __repr__(self):
+        return (f"MapSpec(ring={self.ring!r}, relations={self.relations!r}, "
+                f"components={self.components!r})")
 
     @property
     def source_codim(self) -> int:
@@ -327,16 +340,14 @@ def determinacy_bound(m: MapSpec, *, trials: int = 8, seed: int = 0,
         "the fibre is neither finite nor certified flat, no bound applies")
 
 
-@dataclass(frozen=True)
-class FlatnessRow:
+class FlatnessRow(NamedTuple):
     mu: int
     fixed_source: Verdict
     truncated_source: Verdict | None
     truncated_source_note: str | None = None
 
 
-@dataclass(frozen=True)
-class FlatnessReport:
+class FlatnessReport(NamedTuple):
     baseline: Verdict
     rows: tuple[FlatnessRow, ...]
 
@@ -382,8 +393,7 @@ def diagram_determinacy_check(m: MapSpec, psi) -> bool:
     return mine == theirs
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     mu: int
     vertices: tuple[Exponent, ...]
     window_vertices: tuple[Exponent, ...]
@@ -395,8 +405,7 @@ class SweepRow:
     new_on_window: tuple[Exponent, ...]
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     mu_min: int
     mu_max: int
     length_bound: int
@@ -468,15 +477,13 @@ def jet_sweep(gens, mu_min: int, mu_max: int, *, length_bound: int | None = None
     )
 
 
-@dataclass(frozen=True)
-class DimProbeRow:
+class DimProbeRow(NamedTuple):
     mu: int
     dimension: int
     lower_ok: bool
 
 
-@dataclass(frozen=True)
-class DimProbeReport:
+class DimProbeReport(NamedTuple):
     dimension: int
     lower_bound: int
     rows: tuple[DimProbeRow, ...]
@@ -512,15 +519,13 @@ def dimension_semicontinuity_probe(gens, mu_range, *,
     )
 
 
-@dataclass(frozen=True)
-class PerturbationSample:
+class PerturbationSample(NamedTuple):
     index: int
     kind: VerdictKind
     violation: bool
 
 
-@dataclass(frozen=True)
-class PerturbationReport:
+class PerturbationReport(NamedTuple):
     property_name: str
     mu: int
     baseline: VerdictKind

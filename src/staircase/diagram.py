@@ -9,7 +9,6 @@ length they use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, combinations, product
 from typing import Iterable
 
@@ -79,15 +78,11 @@ def covering_length(exps: Iterable[Exponent], order: Order) -> int | None:
     return cap
 
 
-@dataclass(frozen=True)
 class Diagram:
-    arity: int
-    vertices: tuple[Exponent, ...]
-
-    def __post_init__(self):
-        vs = tuple(_as_ints(v, "vertices") for v in self.vertices)
+    def __init__(self, arity: int, vertices: tuple[Exponent, ...]):
+        vs = tuple(_as_ints(v, "vertices") for v in vertices)
         for v in vs:
-            if len(v) != self.arity:
+            if len(v) != arity:
                 raise ValueError("vertex arity does not match the diagram")
             if any(x < 0 for x in v):
                 raise ValueError("vertices must be nonnegative")
@@ -96,7 +91,22 @@ class Diagram:
             for b in vs:
                 if a != b and exp_divides(b, a):
                     raise ValueError("vertices must form an antichain")
+        object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "vertices", vs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Diagram is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not Diagram:
+            return NotImplemented
+        return self.arity == other.arity and self.vertices == other.vertices
+
+    def __hash__(self):
+        return hash((self.arity, self.vertices))
+
+    def __repr__(self):
+        return f"Diagram(arity={self.arity!r}, vertices={self.vertices!r})"
 
     @classmethod
     def from_exponents(

@@ -13,8 +13,8 @@ used to cross-validate it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import Exponent, Poly, Ring, exp_add, resolve_ring
 from .diagram import Diagram, exponents_below, first_difference
@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 
-@dataclass
 class TruncationBasis:
     """Echelonized row space of the generators' jets below a length bound.
 
@@ -40,11 +39,23 @@ class TruncationBasis:
     appears as a pivot.
     """
 
-    ring: Ring
-    bound: int
-    monomials: tuple[Exponent, ...]
-    _index: dict[Exponent, int] = field(repr=False)
-    _pivots: dict[int, dict[int, Fraction]] = field(repr=False)
+    def __init__(self, ring: Ring, bound: int, monomials: tuple[Exponent, ...],
+                 _index: dict[Exponent, int],
+                 _pivots: dict[int, dict[int, Fraction]]):
+        self.ring = ring
+        self.bound = bound
+        self.monomials = monomials
+        self._index = _index
+        self._pivots = _pivots
+
+    def __eq__(self, other):
+        if other.__class__ is not TruncationBasis:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        return (f"TruncationBasis(ring={self.ring!r}, bound={self.bound!r}, "
+                f"monomials={self.monomials!r})")
 
     @classmethod
     def build(cls, gens, bound: int, *, ring: Ring | None = None) -> "TruncationBasis":
@@ -135,8 +146,7 @@ def truncated_quotient_dim(gens, bound: int, *, ring: Ring | None = None) -> int
     return TruncationBasis.build(gens, bound, ring=ring).nonpivot_count()
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     """Both engines' windows below `bound` and the first place they differ.
 
     `oracle_vertices` and `basis_vertices` are the vertices of weighted

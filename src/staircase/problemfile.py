@@ -22,12 +22,13 @@ explicit. All errors carry a line and column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import Order, Poly, Ring
-from .determinacy import MapSpec
+
+if TYPE_CHECKING:
+    from .determinacy import MapSpec
 
 __all__ = ["ProblemError", "ProblemFile", "parse_poly", "parse_problem",
            "RESERVED_WORDS"]
@@ -185,12 +186,28 @@ def parse_poly(text: str, ring: Ring, line: int = 1) -> Poly:
     return _PolyParser(_lex(text, line), ring, line).parse()
 
 
-@dataclass(frozen=True)
 class ProblemFile:
-    ring: Ring
-    ideals: dict[str, tuple[Poly, ...]] = field(default_factory=dict)
-    maps: dict[str, MapSpec] = field(default_factory=dict)
-    options: dict[str, object] = field(default_factory=dict)
+    def __init__(self, ring: Ring,
+                 ideals: dict[str, tuple[Poly, ...]] | None = None,
+                 maps: dict[str, MapSpec] | None = None,
+                 options: dict[str, object] | None = None):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "ideals", {} if ideals is None else ideals)
+        object.__setattr__(self, "maps", {} if maps is None else maps)
+        object.__setattr__(self, "options", {} if options is None else options)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ProblemFile is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not ProblemFile:
+            return NotImplemented
+        return (self.ring, self.ideals, self.maps, self.options) == (
+            other.ring, other.ideals, other.maps, other.options)
+
+    def __repr__(self):
+        return (f"ProblemFile(ring={self.ring!r}, ideals={self.ideals!r}, "
+                f"maps={self.maps!r}, options={self.options!r})")
 
 
 def _words_with_columns(line: str) -> list[tuple[str, int]]:
@@ -343,6 +360,8 @@ def parse_problem(text: str,
                 state[state["sub"]].append(poly)
 
     maps: dict[str, MapSpec] = {}
+    if map_blocks:  # only map commands need the determinacy module
+        from .determinacy import MapSpec
     for name, state in map_blocks.items():
         try:
             maps[name] = MapSpec(ring, tuple(state["relations"]),

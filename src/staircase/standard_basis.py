@@ -46,14 +46,14 @@ from __future__ import annotations
 import heapq
 import os
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from typing import NamedTuple
 
 from .core import (
-    FIELD_BITS, FIELD_LIMIT, Exponent, Poly, Ring, _fits, _merge, exp_add,
-    exp_lcm, resolve_ring,
+    FIELD_BITS, FIELD_LIMIT, Exponent, Poly, Ring, _merge, _reach,
+    exp_add, exp_lcm, resolve_ring,
 )
 from .diagram import Diagram, covering_length
 
@@ -130,14 +130,12 @@ def _resolve_limit(env_name: str, default: int,
     return default
 
 
-@dataclass(frozen=True)
-class MoraStep:
+class MoraStep(NamedTuple):
     reducer: str
     shift: Exponent
     coeff: Fraction
 
 
-@dataclass(frozen=True)
 class MoraTrace:
     """Reduction log: one entry per cancelled initial term.
 
@@ -145,12 +143,30 @@ class MoraTrace:
     p_k joined the reducer pool. `unit` is the unit u of the local ring with
     u*f - remainder in the ideal generated by the reducers; it stays 1 unless
     intermediate results were used as reducers, and it is rebuilt from the
-    recorded steps on first access.
+    recorded steps on first access. Traces are immutable values.
     """
 
-    ring: Ring
-    steps: tuple[MoraStep, ...]
-    pooled_at: tuple[int, ...]
+    def __init__(self, ring: Ring, steps: tuple[MoraStep, ...],
+                 pooled_at: tuple[int, ...]):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "pooled_at", pooled_at)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MoraTrace is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not MoraTrace:
+            return NotImplemented
+        return (self.ring, self.steps, self.pooled_at) == (
+            other.ring, other.steps, other.pooled_at)
+
+    def __hash__(self):
+        return hash((self.ring, self.steps, self.pooled_at))
+
+    def __repr__(self):
+        return (f"MoraTrace(ring={self.ring!r}, steps={self.steps!r}, "
+                f"pooled_at={self.pooled_at!r})")
 
     @property
     def pool_added(self) -> int:
@@ -177,17 +193,30 @@ class MoraTrace:
         return unit
 
 
-@dataclass(slots=True)
 class _Entry:
     """A reducer in Mora's pool, in packed form: the polynomial is
     scale * sum(ints[i] * x^keys[i]), and top bounds its exponent entries."""
 
-    keys: list[int]
-    ints: list[int]
-    scale: Fraction
-    top: int
-    ecart: int
-    label: str
+    __slots__ = ("keys", "ints", "scale", "top", "ecart", "label")
+
+    def __init__(self, keys: list[int], ints: list[int], scale: Fraction,
+                 top: int, ecart: int, label: str):
+        self.keys = keys
+        self.ints = ints
+        self.scale = scale
+        self.top = top
+        self.ecart = ecart
+        self.label = label
+
+    def __eq__(self, other):
+        if other.__class__ is not _Entry:
+            return NotImplemented
+        return all(getattr(self, n) == getattr(other, n)
+                   for n in self.__slots__)
+
+    def __repr__(self):
+        return "_Entry(" + ", ".join(
+            f"{n}={getattr(self, n)!r}" for n in self.__slots__) + ")"
 
 
 def _primitive(ints: list[int]) -> tuple[list[int], int]:
@@ -274,7 +303,11 @@ def mora_normal_form(
             pooled_at.append(len(steps))
         shift = lead - chosen.keys[0]
         shift_exp = unpack(shift)
-        top = max(top, _fits(chosen.top + max(shift_exp)))
+        end = len(chosen.keys)
+        if length_cap is not None:
+            end = bisect_left(chosen.keys, (length_cap - (shift >> low)) << low)
+        top = max(top, _reach(ring.order, chosen.top + max(shift_exp),
+                              chosen.keys, shift, end))
         hc0, gc0, gs = ints[0], chosen.ints[0], chosen.scale
         steps.append(MoraStep(chosen.label, shift_exp, Fraction(
             scale.numerator * hc0 * gs.denominator,
@@ -283,9 +316,6 @@ def mora_normal_form(
         # integer parts: a*hc0 = b*gc0 cancels the initial term.
         d = gcd(hc0, gc0)
         a, b = gc0 // d, hc0 // d
-        end = len(chosen.keys)
-        if length_cap is not None:
-            end = bisect_left(chosen.keys, (length_cap - (shift >> low)) << low)
         keys, ints = _merge(keys, ints, a, chosen.keys, chosen.ints, b,
                             shift, end)
         ints, content = _primitive(ints)
@@ -303,16 +333,14 @@ def mora_normal_form(
     return remainder, MoraTrace(ring, tuple(steps), tuple(pooled_at))
 
 
-@dataclass(frozen=True)
-class SPairRecord:
+class SPairRecord(NamedTuple):
     steps: int
     reduced_to_zero: bool
     added_index: int | None
     skipped_coprime: bool = False
 
 
-@dataclass(frozen=True)
-class SBasis:
+class SBasis(NamedTuple):
     """A standard basis together with its staircase and the completion log.
 
     After a work budget breach, `basis` and `trace` are those of the capped
@@ -328,17 +356,17 @@ class SBasis:
 
 def _spoly(f: Poly, g: Poly, cap: int | None) -> Poly:
     """The s-polynomial of f and g without its terms of length >= cap."""
-    ring = f.ring
+    ring, order = f.ring, f.ring.order
     low = FIELD_BITS * ring.arity
     fk, fc, gk, gc = f.keys, f.ints, g.keys, g.ints
-    lcm = ring.order.pack(exp_lcm(f.initial_exponent(), g.initial_exponent()))
+    lcm = order.pack(exp_lcm(f.initial_exponent(), g.initial_exponent()))
     sf, sg = lcm - fk[0], lcm - gk[0]
-    top = max(_fits(f.top + max(ring.order.unpack(sf))),
-              _fits(g.top + max(ring.order.unpack(sg))))
     end_f, end_g = len(fk), len(gk)
     if cap is not None:
         end_f = bisect_left(fk, (cap - (sf >> low)) << low)
         end_g = bisect_left(gk, (cap - (sg >> low)) << low)
+    top = max(_reach(order, f.top + max(order.unpack(sf)), fk, sf, end_f),
+              _reach(order, g.top + max(order.unpack(sg)), gk, sg, end_g))
     # x^sf*f/lc(f) - x^sg*g/lc(g) = (a*x^sf*F - b*x^sg*G) / (a*lc(F)), where
     # F and G are the integer parts and a*lc(F) = b*lc(G).
     d = gcd(fc[0], gc[0])

@@ -1,9 +1,14 @@
-"""Source hygiene: every name a module imports is used or re-exported, and
-every name the benchmark's tracer wraps exists."""
+"""Source hygiene: every name a module imports is used or re-exported, every
+name the benchmark's tracer wraps exists, and the command line loads only
+the modules its command runs."""
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +70,56 @@ def test_every_name_the_tracer_wraps_resolves():
             cls = getattr(module, clsname)
             for name in methods:
                 assert name in cls.__dict__, f"{layer}.{clsname}.{name}"
+
+
+# `from staircase import *` binds these names, the submodules among them.
+PUBLIC_NAMES = sorted("""
+    CoordChange CrossCheckReport DEFAULT_POOL_CEILING DEFAULT_WORK_BUDGET
+    Diagram DimProbeReport DimProbeRow Exponent FlatnessReport FlatnessRow
+    MapSpec MoraStep MoraTrace NoCertifiedBound Order PerturbationReport
+    PerturbationSample Poly PoolLimitExceeded ProblemError ProblemFile Ring
+    SBasis SPairRecord SourceNotCompleteIntersection SweepReport SweepRow
+    TruncationBasis Verdict VerdictKind WorkBudgetExceeded core demo
+    demo_ring determinacy determinacy_bound determinant diagram
+    diagram_determinacy_check diagram_of_ideal dimension_semicontinuity_probe
+    exp_add exp_divides exp_lcm exp_sub exponents_below exponents_upto
+    fibre_ideal flat_ci jet_flatness_equivalence jet_ideal jet_oracle
+    jet_sweep milnor_mu0 mora_normal_form oracle_cross_check parse_poly
+    parse_problem perturbation_test presentation_rows problemfile
+    random_coord_change regseq_axis_certificate regular_sequence
+    standard_basis total_degree truncated_diagram truncated_quotient_dim
+    truncated_series_generators unit_cleared_generators""".split())
+
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+LAZY = ("staircase.determinacy", "staircase.jet_oracle", "staircase.demo",
+        "dataclasses")
+from staircase import cli
+report = {"after_import": [m for m in LAZY if m in sys.modules]}
+with contextlib.redirect_stdout(io.StringIO()):
+    report["diagram_exit"] = cli.main(["diagram", sys.argv[1]])
+report["after_diagram"] = [m for m in LAZY if m in sys.modules]
+import staircase
+report["standard_basis"] = type(staircase.standard_basis).__name__
+names = {}
+exec("from staircase import *", names)
+report["star"] = sorted(n for n in names if n != "__builtins__")
+print(json.dumps(report))
+"""
+
+
+def test_the_command_line_loads_only_what_its_command_runs(tmp_path):
+    # In a fresh interpreter, since this session has loaded every module.
+    problem = tmp_path / "two.txt"
+    problem.write_text("ring x y\nideal I\n  x^2 + y^3\n  x*y\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(problem)],
+                         env=env, capture_output=True, text=True, check=True)
+    report = json.loads(out.stdout)
+    assert report["after_import"] == []
+    assert report["diagram_exit"] == 0
+    assert "staircase.determinacy" not in report["after_diagram"]
+    # The package's standard_basis is the function, not its submodule.
+    assert report["standard_basis"] == "function"
+    assert report["star"] == PUBLIC_NAMES

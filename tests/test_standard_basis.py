@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from staircase import (
     CoordChange,
+    MoraStep,
     MoraTrace,
     Order,
     PoolLimitExceeded,
@@ -212,6 +213,26 @@ def test_mora_refuses_exponents_past_the_packed_field():
     f = RING3.monomial((FIELD_LIMIT - 1, 1, 0))
     with pytest.raises(ValueError):
         mora_normal_form(f, [Y3 + X3 * Z3])
+
+
+def test_shifts_whose_entries_fit_are_not_refused():
+    # A reducer's bound plus a shift's largest entry reaches FIELD_LIMIT
+    # here, but the two peak in different variables, so no exponent entry
+    # of any step passes n = 2^30.
+    n = FIELD_LIMIT // 2
+    f, reducers = X * Y ** n, [X + X ** n]
+    remainder, trace = mora_normal_form(f, reducers)
+    assert remainder.is_zero
+    assert [(s.reducer, s.shift) for s in trace.steps] == [
+        ("r0", (0, n)), ("p0", (n - 1, 0))]
+    assert _replay(f, reducers, trace, None) == remainder.terms
+    # The s-polynomial of x + x^n and g = y^n + x*y^n shifts the first by
+    # y^n: it is y^n*(x + x^n) less one step by x*g, replayed on dicts.
+    g = Y ** n + X * Y ** n
+    one_step = MoraTrace(RING, (MoraStep("r0", (1, 0), Fraction(1)),), ())
+    for cap in (None, 2 * n + 1, 2 * n):  # the last cuts x^n*y^n
+        assert _spoly(reducers[0], g, cap).terms == _replay(
+            Y ** n * reducers[0], [g], one_step, cap)
 
 
 def test_standard_basis_calls_mora_once_per_reduced_spair(monkeypatch):
