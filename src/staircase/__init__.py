@@ -21,11 +21,10 @@ from .standard_basis import (
 )
 
 # Every file command needs the modules above. Only some commands run these,
-# so each loads on the first read of one of its names (PEP 562).
+# so each loads on the first read of it or of one of its names (PEP 562).
 _LAZY = {
-    "demo": (
-        "demo_ring", "presentation_rows", "truncated_series_generators",
-        "unit_cleared_generators"),
+    "demo": ("demo_ring", "presentation_rows", "truncated_series_generators",
+             "unit_cleared_generators"),
     "determinacy": (
         "DimProbeReport", "DimProbeRow", "FlatnessReport", "FlatnessRow",
         "MapSpec", "NoCertifiedBound", "PerturbationReport",
@@ -35,9 +34,8 @@ _LAZY = {
         "fibre_ideal", "flat_ci", "jet_flatness_equivalence", "jet_ideal",
         "jet_sweep", "milnor_mu0", "perturbation_test", "random_coord_change",
         "regseq_axis_certificate", "regular_sequence"),
-    "jet_oracle": (
-        "CrossCheckReport", "TruncationBasis", "oracle_cross_check",
-        "truncated_diagram", "truncated_quotient_dim"),
+    "jet_oracle": ("CrossCheckReport", "TruncationBasis", "oracle_cross_check",
+                   "truncated_diagram", "truncated_quotient_dim"),
 }
 
 __all__ = [
@@ -56,6 +54,8 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
+    if name in _LAZY:
+        return import_module(f"{__name__}.{name}")
     # Not cached, so a name rebound in its module shows through here too.
     for module, names in _LAZY.items():
         if name in names:

@@ -101,6 +101,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 report["after_diagram"] = [m for m in LAZY if m in sys.modules]
 import staircase
 report["standard_basis"] = type(staircase.standard_basis).__name__
+report["demo"] = staircase.demo.__name__  # imported on first access
 names = {}
 exec("from staircase import *", names)
 report["star"] = sorted(n for n in names if n != "__builtins__")
@@ -122,4 +123,5 @@ def test_the_command_line_loads_only_what_its_command_runs(tmp_path):
     assert "staircase.determinacy" not in report["after_diagram"]
     # The package's standard_basis is the function, not its submodule.
     assert report["standard_basis"] == "function"
+    assert report["demo"] == "staircase.demo"
     assert report["star"] == PUBLIC_NAMES
