@@ -20,8 +20,9 @@ stay below FIELD_LIMIT (2^31): an entry past it is refused with ValueError
 when the polynomial is built, never wrapped. `Poly.terms` lists the
 (exponent, Fraction) pairs, built on first read.
 
-Every value here is immutable. Floats are rejected outright, as
-coefficients, exponents, order weights and diagram vertices.
+Every value here is immutable: `Poly` guards itself, and the record classes
+share their value semantics through `_Record`. Floats are rejected outright,
+as coefficients, exponents, order weights and diagram vertices.
 """
 
 from __future__ import annotations
@@ -129,7 +130,46 @@ def exp_lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(map(max, a, b))
 
 
-class Order:
+class _Record:
+    """Base of the immutable record classes, `Order` and `Diagram` among them.
+
+    A subclass lists its fields in `_fields`, in its constructor's order,
+    validates its arguments and stores them with `_set`, the only writer:
+    any other assignment raises AttributeError. Two records are equal when
+    they are the same object, or of the same class with equal fields,
+    compared in order; against any other class, tuples included, equality
+    returns NotImplemented. The hash is that of the field tuple, so a record
+    with a dict among its fields raises TypeError. repr shows every field
+    whose name does not start with an underscore.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    def __eq__(self, other):
+        if self is other:  # Poly._coerce and Mora compare rings on each call
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, n) == getattr(other, n) for n in self._fields)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, n) for n in self._fields))
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields
+                          if not n.startswith("_"))
+        return f"{self.__class__.__name__}({shown})"
+
+
+class Order(_Record):
     """Weighted-degree-first, then lexicographic, well-order on exponents.
 
     The sort key of an exponent b is (sum(w_i*b_i), b_1, ..., b_m) and smaller
@@ -137,27 +177,13 @@ class Order:
     that key one integer. Orders are immutable values.
     """
 
+    _fields = ("weights",)
+
     def __init__(self, weights: tuple[int, ...]):
         ws = _as_ints(weights, "order weights")
         if any(w < 1 for w in ws):
             raise ValueError("order weights must be positive integers")
-        object.__setattr__(self, "weights", ws)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Order is immutable")
-
-    def __eq__(self, other):
-        if self is other:  # every Poly sum and product compares orders
-            return True
-        if other.__class__ is not Order:
-            return NotImplemented
-        return self.weights == other.weights
-
-    def __hash__(self):
-        return hash(self.weights)
-
-    def __repr__(self):
-        return f"Order(weights={self.weights!r})"
+        self._set(weights=ws)
 
     @staticmethod
     def unit(arity: int) -> "Order":
@@ -196,11 +222,13 @@ class Order:
                           for s in shifts]))
 
 
-class Ring:
+class Ring(_Record):
     """A ring of convergent power series, handled through polynomial data.
 
     The order defaults to unit weights. Rings are immutable values.
     """
+
+    _fields = ("variables", "order")
 
     def __init__(self, variables: tuple[str, ...], order: Order | None = None):
         names = tuple(str(v) for v in variables)
@@ -213,24 +241,7 @@ class Ring:
         order = order if order is not None else Order.unit(len(names))
         if order.arity != len(names):
             raise ValueError("order arity does not match the variable count")
-        object.__setattr__(self, "variables", names)
-        object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ring is immutable")
-
-    def __eq__(self, other):
-        if self is other:  # see Order.__eq__
-            return True
-        if other.__class__ is not Ring:
-            return NotImplemented
-        return self.variables == other.variables and self.order == other.order
-
-    def __hash__(self):
-        return hash((self.variables, self.order))
-
-    def __repr__(self):
-        return f"Ring(variables={self.variables!r}, order={self.order!r})"
+        self._set(variables=names, order=order)
 
     @property
     def arity(self) -> int:
@@ -608,8 +619,10 @@ def _fraction_matrix_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return det
 
 
-class CoordChange:
+class CoordChange(_Record):
     """Invertible linear substitution on the variables, an immutable value."""
+
+    _fields = ("matrix",)
 
     def __init__(self, matrix: tuple[tuple[Fraction, ...], ...]):
         rows = tuple(tuple(_as_fraction(c) for c in row) for row in matrix)
@@ -618,21 +631,7 @@ class CoordChange:
             raise ValueError("coordinate change matrix must be square and nonempty")
         if not _fraction_matrix_det(rows):
             raise ValueError("coordinate change matrix is singular")
-        object.__setattr__(self, "matrix", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoordChange is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not CoordChange:
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
-
-    def __repr__(self):
-        return f"CoordChange(matrix={self.matrix!r})"
+        self._set(matrix=rows)
 
     @staticmethod
     def identity(n: int) -> "CoordChange":

@@ -17,7 +17,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import CoordChange, Exponent, Poly, Ring, resolve_ring, total_degree
+from .core import (
+    CoordChange, Exponent, Poly, Ring, _Record, resolve_ring, total_degree,
+)
 from .diagram import Diagram, axis_powers
 from .standard_basis import diagram_of_ideal, standard_basis
 
@@ -101,12 +103,14 @@ class NoCertifiedBound(RuntimeError):
     """Neither the finite-fibre nor the certified-flat route yields a bound."""
 
 
-class MapSpec:
+class MapSpec(_Record):
     """A polynomial map germ V(relations) -> K^n at the origin of K^m.
 
     `components` are the n coordinate functions; both relations and
     components must vanish at the origin. Map germs are immutable values.
     """
+
+    _fields = ("ring", "relations", "components")
 
     def __init__(self, ring: Ring, relations: tuple[Poly, ...],
                  components: tuple[Poly, ...]):
@@ -118,25 +122,7 @@ class MapSpec:
                 raise ValueError("relations and components must live in the ring")
             if p.constant_term:
                 raise ValueError("relations and components must vanish at the origin")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "components", components)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MapSpec is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not MapSpec:
-            return NotImplemented
-        return (self.ring, self.relations, self.components) == (
-            other.ring, other.relations, other.components)
-
-    def __hash__(self):
-        return hash((self.ring, self.relations, self.components))
-
-    def __repr__(self):
-        return (f"MapSpec(ring={self.ring!r}, relations={self.relations!r}, "
-                f"components={self.components!r})")
+        self._set(ring=ring, relations=relations, components=components)
 
     @property
     def source_codim(self) -> int:

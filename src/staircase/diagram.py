@@ -12,7 +12,9 @@ from __future__ import annotations
 from itertools import accumulate, combinations, product
 from typing import Iterable
 
-from .core import Exponent, Order, _as_ints, exp_divides, total_degree
+from .core import (
+    Exponent, Order, _as_ints, _Record, exp_divides, total_degree,
+)
 
 __all__ = [
     "Diagram",
@@ -78,7 +80,9 @@ def covering_length(exps: Iterable[Exponent], order: Order) -> int | None:
     return cap
 
 
-class Diagram:
+class Diagram(_Record):
+    _fields = ("arity", "vertices")
+
     def __init__(self, arity: int, vertices: tuple[Exponent, ...]):
         vs = tuple(_as_ints(v, "vertices") for v in vertices)
         for v in vs:
@@ -91,22 +95,7 @@ class Diagram:
             for b in vs:
                 if a != b and exp_divides(b, a):
                     raise ValueError("vertices must form an antichain")
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "vertices", vs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Diagram is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not Diagram:
-            return NotImplemented
-        return self.arity == other.arity and self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash((self.arity, self.vertices))
-
-    def __repr__(self):
-        return f"Diagram(arity={self.arity!r}, vertices={self.vertices!r})"
+        self._set(arity=arity, vertices=vs)
 
     @classmethod
     def from_exponents(

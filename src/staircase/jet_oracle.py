@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import Exponent, Poly, Ring, exp_add, resolve_ring
+from .core import Exponent, Poly, Ring, _Record, exp_add, resolve_ring
 from .diagram import Diagram, exponents_below, first_difference
 from .standard_basis import standard_basis
 
@@ -30,32 +30,22 @@ __all__ = [
 ]
 
 
-class TruncationBasis:
+class TruncationBasis(_Record):
     """Echelonized row space of the generators' jets below a length bound.
 
     Pivot columns are normalized to 1 and each pivot is the order-minimal
     nonzero position of its row, so the pivot exponents are initial exponents
     of ideal elements and conversely every initial exponent inside the window
-    appears as a pivot.
+    appears as a pivot. `build` fills the `_pivots` dict in place.
     """
+
+    _fields = ("ring", "bound", "monomials", "_index", "_pivots")
 
     def __init__(self, ring: Ring, bound: int, monomials: tuple[Exponent, ...],
                  _index: dict[Exponent, int],
                  _pivots: dict[int, dict[int, Fraction]]):
-        self.ring = ring
-        self.bound = bound
-        self.monomials = monomials
-        self._index = _index
-        self._pivots = _pivots
-
-    def __eq__(self, other):
-        if other.__class__ is not TruncationBasis:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self):
-        return (f"TruncationBasis(ring={self.ring!r}, bound={self.bound!r}, "
-                f"monomials={self.monomials!r})")
+        self._set(ring=ring, bound=bound, monomials=monomials, _index=_index,
+                  _pivots=_pivots)
 
     @classmethod
     def build(cls, gens, bound: int, *, ring: Ring | None = None) -> "TruncationBasis":

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import Order, Poly, Ring
+from .core import Order, Poly, Ring, _Record
 
 if TYPE_CHECKING:
     from .determinacy import MapSpec
@@ -186,28 +186,16 @@ def parse_poly(text: str, ring: Ring, line: int = 1) -> Poly:
     return _PolyParser(_lex(text, line), ring, line).parse()
 
 
-class ProblemFile:
+class ProblemFile(_Record):
+    _fields = ("ring", "ideals", "maps", "options")
+
     def __init__(self, ring: Ring,
                  ideals: dict[str, tuple[Poly, ...]] | None = None,
                  maps: dict[str, MapSpec] | None = None,
                  options: dict[str, object] | None = None):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "ideals", {} if ideals is None else ideals)
-        object.__setattr__(self, "maps", {} if maps is None else maps)
-        object.__setattr__(self, "options", {} if options is None else options)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProblemFile is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not ProblemFile:
-            return NotImplemented
-        return (self.ring, self.ideals, self.maps, self.options) == (
-            other.ring, other.ideals, other.maps, other.options)
-
-    def __repr__(self):
-        return (f"ProblemFile(ring={self.ring!r}, ideals={self.ideals!r}, "
-                f"maps={self.maps!r}, options={self.options!r})")
+        self._set(ring=ring, ideals={} if ideals is None else ideals,
+                  maps={} if maps is None else maps,
+                  options={} if options is None else options)
 
 
 def _words_with_columns(line: str) -> list[tuple[str, int]]:

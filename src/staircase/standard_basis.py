@@ -52,8 +52,8 @@ from math import gcd
 from typing import NamedTuple
 
 from .core import (
-    FIELD_BITS, FIELD_LIMIT, Exponent, Poly, Ring, _merge, _reach,
-    exp_add, exp_lcm, resolve_ring,
+    FIELD_BITS, FIELD_LIMIT, Exponent, Order, Poly, Ring, _merge, _reach,
+    _Record, exp_add, exp_lcm, resolve_ring,
 )
 from .diagram import Diagram, covering_length
 
@@ -115,10 +115,7 @@ class WorkBudgetExceeded(PoolLimitExceeded):
         self.rounds = rounds
 
 
-def _resolve_limit(env_name: str, default: int,
-                   explicit: int | None = None) -> int:
-    if explicit is not None:
-        return int(explicit)
+def _resolve_limit(env_name: str, default: int) -> int:
     env = os.environ.get(env_name)
     if env:
         try:
@@ -136,7 +133,7 @@ class MoraStep(NamedTuple):
     coeff: Fraction
 
 
-class MoraTrace:
+class MoraTrace(_Record):
     """Reduction log: one entry per cancelled initial term.
 
     `pooled_at[k]` is the index of the step at which the intermediate result
@@ -146,27 +143,11 @@ class MoraTrace:
     recorded steps on first access. Traces are immutable values.
     """
 
+    _fields = ("ring", "steps", "pooled_at")
+
     def __init__(self, ring: Ring, steps: tuple[MoraStep, ...],
                  pooled_at: tuple[int, ...]):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "pooled_at", pooled_at)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MoraTrace is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not MoraTrace:
-            return NotImplemented
-        return (self.ring, self.steps, self.pooled_at) == (
-            other.ring, other.steps, other.pooled_at)
-
-    def __hash__(self):
-        return hash((self.ring, self.steps, self.pooled_at))
-
-    def __repr__(self):
-        return (f"MoraTrace(ring={self.ring!r}, steps={self.steps!r}, "
-                f"pooled_at={self.pooled_at!r})")
+        self._set(ring=ring, steps=steps, pooled_at=pooled_at)
 
     @property
     def pool_added(self) -> int:
@@ -227,10 +208,23 @@ def _primitive(ints: list[int]) -> tuple[list[int], int]:
     return ints, content
 
 
+def _cut(order: Order, keys: list[int], bound: int, shift: int,
+         cap: int | None) -> tuple[int, int]:
+    """The end of the prefix of keys that x^shift moves below the length cap
+    (all of keys without a cap), and `_reach` of that shifted prefix from
+    `bound`, the sum of the keys' entry bound and the shift's largest entry.
+    Terms ascend length-first, so the terms below the cap are a prefix."""
+    end = len(keys)
+    if cap is not None:
+        # Packed keys carry the weighted length above `low` bits of exponent
+        # fields, so a key below B << low is a term shorter than B.
+        low = FIELD_BITS * order.arity
+        end = bisect_left(keys, (cap - (shift >> low)) << low)
+    return end, _reach(order, bound, keys, shift, end)
+
+
 def mora_normal_form(
-    f: Poly, reducers, *,
-    pool_ceiling: int | None = None,
-    length_cap: int | None = None,
+    f: Poly, reducers, *, length_cap: int | None = None,
 ) -> tuple[Poly, MoraTrace]:
     """Weak normal form of f against the reducers.
 
@@ -260,21 +254,21 @@ def mora_normal_form(
             raise ValueError("reducers must be polynomials in the same ring")
         if g.is_zero:
             raise ValueError("zero polynomials cannot be reducers")
-    ceiling = _resolve_limit(POOL_CEILING_ENV, DEFAULT_POOL_CEILING,
-                             pool_ceiling)
+    ceiling = _resolve_limit(POOL_CEILING_ENV, DEFAULT_POOL_CEILING)
     budget = (None if length_cap is not None else
               _resolve_limit(WORK_BUDGET_ENV, DEFAULT_WORK_BUDGET))
-    unpack = ring.order.unpack
+    order = ring.order
+    unpack = order.unpack
     # Packed keys carry the weighted length above `low` bits of exponent
-    # fields, so a key below B << low is a term shorter than B.
+    # fields, which the ecarts read.
     low = FIELD_BITS * ring.arity
     guards = sum(FIELD_LIMIT << (FIELD_BITS * i) for i in range(ring.arity))
     pool = [_Entry(g.keys, g.ints, g.scale, g.top,
                    (g.keys[-1] >> low) - (g.keys[0] >> low), f"r{i}")
             for i, g in enumerate(reducers)]
     keys, ints, scale, top = f.keys, f.ints, f.scale, f.top
-    if length_cap is not None and keys and keys[-1] >= length_cap << low:
-        end = bisect_left(keys, length_cap << low)
+    end, top = _cut(order, keys, top, 0, length_cap)
+    if end < len(keys):
         ints, content = _primitive(ints[:end])
         keys, scale = keys[:end], scale * content
     steps: list[MoraStep] = []
@@ -303,11 +297,9 @@ def mora_normal_form(
             pooled_at.append(len(steps))
         shift = lead - chosen.keys[0]
         shift_exp = unpack(shift)
-        end = len(chosen.keys)
-        if length_cap is not None:
-            end = bisect_left(chosen.keys, (length_cap - (shift >> low)) << low)
-        top = max(top, _reach(ring.order, chosen.top + max(shift_exp),
-                              chosen.keys, shift, end))
+        end, reach = _cut(order, chosen.keys, chosen.top + max(shift_exp),
+                          shift, length_cap)
+        top = max(top, reach)
         hc0, gc0, gs = ints[0], chosen.ints[0], chosen.scale
         steps.append(MoraStep(chosen.label, shift_exp, Fraction(
             scale.numerator * hc0 * gs.denominator,
@@ -357,23 +349,19 @@ class SBasis(NamedTuple):
 def _spoly(f: Poly, g: Poly, cap: int | None) -> Poly:
     """The s-polynomial of f and g without its terms of length >= cap."""
     ring, order = f.ring, f.ring.order
-    low = FIELD_BITS * ring.arity
     fk, fc, gk, gc = f.keys, f.ints, g.keys, g.ints
     lcm = order.pack(exp_lcm(f.initial_exponent(), g.initial_exponent()))
     sf, sg = lcm - fk[0], lcm - gk[0]
-    end_f, end_g = len(fk), len(gk)
-    if cap is not None:
-        end_f = bisect_left(fk, (cap - (sf >> low)) << low)
-        end_g = bisect_left(gk, (cap - (sg >> low)) << low)
-    top = max(_reach(order, f.top + max(order.unpack(sf)), fk, sf, end_f),
-              _reach(order, g.top + max(order.unpack(sg)), gk, sg, end_g))
+    end_f, top_f = _cut(order, fk, f.top + max(order.unpack(sf)), sf, cap)
+    end_g, top_g = _cut(order, gk, g.top + max(order.unpack(sg)), sg, cap)
     # x^sf*f/lc(f) - x^sg*g/lc(g) = (a*x^sf*F - b*x^sg*G) / (a*lc(F)), where
     # F and G are the integer parts and a*lc(F) = b*lc(G).
     d = gcd(fc[0], gc[0])
     a, b = gc[0] // d, fc[0] // d
     keys, ints = _merge([k + sf for k in fk[:end_f]], fc[:end_f], a,
                         gk, gc, b, sg, end_g)
-    return Poly._of(ring, keys, ints, Fraction(1, a * fc[0]), top)
+    return Poly._of(ring, keys, ints, Fraction(1, a * fc[0]),
+                    max(top_f, top_g))
 
 
 def _unit_free(f: Poly) -> Poly:
@@ -391,8 +379,7 @@ def _unit_free(f: Poly) -> Poly:
 
 
 def standard_basis(
-    gens, *, ring: Ring | None = None, pool_ceiling: int | None = None,
-    length_cap: int | None = None,
+    gens, *, ring: Ring | None = None, length_cap: int | None = None,
 ) -> SBasis:
     """Complete the generators to a standard basis and read off the staircase.
 
@@ -421,15 +408,15 @@ def standard_basis(
         raise ValueError("the length cap must be at least 1")
     gens = [_unit_free(f) for f in gens]
     if length_cap is not None:
-        return _complete(gens, ring, pool_ceiling, length_cap)
+        return _complete(gens, ring, length_cap)
     try:
-        return _complete(gens, ring, pool_ceiling, None)
+        return _complete(gens, ring, None)
     except WorkBudgetExceeded as exc:
         budget = exc.limit
     step = max(ring.order.weights)
     cap = 1 + step
     for _ in range(_CERTIFY_ROUNDS):
-        sb = _complete(gens, ring, pool_ceiling, cap)
+        sb = _complete(gens, ring, cap)
         corner = covering_length(sb.diagram.vertices, ring.order)
         if corner is not None and corner + step <= cap:
             return sb
@@ -437,17 +424,14 @@ def standard_basis(
     raise WorkBudgetExceeded(budget, _CERTIFY_ROUNDS)
 
 
-def _complete(gens: list[Poly], ring: Ring, pool_ceiling: int | None,
-              length_cap: int | None) -> SBasis:
+def _complete(gens: list[Poly], ring: Ring, length_cap: int | None) -> SBasis:
     """The completion loop of `standard_basis`, capped or under the budget."""
     basis: list[Poly] = []
     for f in gens:
-        # Terms ascend length-first, so those below the cap are a prefix.
-        end = len(f.keys) if length_cap is None else bisect_left(
-            f.keys, length_cap << FIELD_BITS * ring.arity)
+        end, top = _cut(ring.order, f.keys, f.top, 0, length_cap)
         if end:
             basis.append(Poly._of(ring, f.keys[:end], f.ints[:end], f.scale,
-                                  f.top).content_normalized())
+                                  top).content_normalized())
     inexps: list[Exponent] = [b.initial_exponent() for b in basis]
     records: list[SPairRecord] = []
     pack = ring.order.pack
@@ -479,8 +463,7 @@ def _complete(gens: list[Poly], ring: Ring, pool_ceiling: int | None,
         if s.is_zero:
             records.append(SPairRecord(0, True, None))
             continue
-        remainder, trace = mora_normal_form(
-            s, basis, pool_ceiling=pool_ceiling, length_cap=cap)
+        remainder, trace = mora_normal_form(s, basis, length_cap=cap)
         if remainder.is_zero:
             records.append(SPairRecord(len(trace.steps), True, None))
             continue

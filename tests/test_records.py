@@ -108,7 +108,7 @@ CASES = [
                            "monomials": ((0, 0), (0, 1), (1, 0)),
                            "_index": {(0, 0): 0, (0, 1): 1, (1, 0): 2},
                            "_pivots": {}},
-         ("_pivots", {1: {1: Fraction(1)}}), frozen=False, hashable=False,
+         ("_pivots", {1: {1: Fraction(1)}}), hashable=False,
          hidden=("_index", "_pivots")),
     Case(_Entry, {"keys": [1, 2], "ints": [1, -1], "scale": Fraction(1, 2),
                   "top": 1, "ecart": 1, "label": "r0"}, ("ecart", 0),
@@ -124,6 +124,9 @@ def test_records_keep_their_value_semantics(case):
     other = cls(**{**fields, name: value})
     assert a == b and not a != b
     assert a != other and not a == other
+    if not issubclass(cls, tuple):
+        # Unlike a NamedTuple, a plain record equals nothing of another class.
+        assert a != tuple(fields.values()) and a != object()
     if case.hashable:
         assert hash(a) == hash(b)
     else:

@@ -72,6 +72,23 @@ def test_every_name_the_tracer_wraps_resolves():
                 assert name in cls.__dict__, f"{layer}.{clsname}.{name}"
 
 
+VALUE_METHODS = {"__eq__", "__hash__", "__setattr__", "__repr__"}
+
+
+def test_value_semantics_are_written_once():
+    # The record classes inherit theirs from core._Record; only Poly, which
+    # equals scalars and leaves `top` out, and Mora's mutable pool entry
+    # define their own.
+    owners = set()
+    for path in (ROOT / "src" / "staircase").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(f, ast.FunctionDef) and f.name in VALUE_METHODS
+                    for f in node.body):
+                owners.add(f"{path.stem}.{node.name}")
+    assert owners == {"core._Record", "core.Poly", "standard_basis._Entry"}
+
+
 # `from staircase import *` binds these names, the submodules among them.
 PUBLIC_NAMES = sorted("""
     CoordChange CrossCheckReport DEFAULT_POOL_CEILING DEFAULT_WORK_BUDGET

@@ -355,15 +355,15 @@ def test_deep_tails_finish_once_the_staircase_is_finite():
     assert not trace.steps
 
 
-def test_pool_ceiling_explicit_env_and_default(monkeypatch):
+def test_pool_ceiling_env_and_default(monkeypatch):
     gens = [Y - X ** 2, Y ** 3]
-    with pytest.raises(PoolLimitExceeded):
-        standard_basis(gens, pool_ceiling=0)
+    monkeypatch.delenv("STAIRCASE_POOL_CEILING", raising=False)
+    assert standard_basis(gens).diagram.vertices == ((0, 1), (6, 0))
     monkeypatch.setenv("STAIRCASE_POOL_CEILING", "0")
     with pytest.raises(PoolLimitExceeded):
         standard_basis(gens)
-    assert standard_basis(gens, pool_ceiling=50).diagram.vertices == (
-        (0, 1), (6, 0))
+    monkeypatch.setenv("STAIRCASE_POOL_CEILING", "50")
+    assert standard_basis(gens).diagram.vertices == ((0, 1), (6, 0))
     monkeypatch.setenv("STAIRCASE_POOL_CEILING", "not a number")
     with pytest.raises(ValueError):
         standard_basis(gens)
