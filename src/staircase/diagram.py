@@ -12,9 +12,7 @@ from __future__ import annotations
 from itertools import accumulate, combinations, product
 from typing import Iterable
 
-from .core import (
-    Exponent, Order, _as_ints, _Record, exp_divides, total_degree,
-)
+from .core import Exponent, Order, _as_ints, _Record, exp_divides, total_degree
 
 __all__ = [
     "Diagram",
