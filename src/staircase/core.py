@@ -210,8 +210,10 @@ class Order(_Record):
         return packed
 
     def unpack(self, packed: int) -> Exponent:
-        """The exponent of one packed key; see `unpack_all`."""
-        return self.unpack_all((packed,))[0]
+        """The exponent of one packed key, one shift and mask per field.
+        Nothing is checked, as in `unpack_all`."""
+        return tuple([packed >> s & _FIELD_MASK for s in range(
+            FIELD_BITS * (len(self.weights) - 1), -1, -FIELD_BITS)])
 
     def unpack_all(self, keys) -> list[Exponent]:
         """The exponents of packed keys. Nothing is checked here: `pack`

@@ -64,9 +64,9 @@ def _lex(text: str, line: int) -> list[_Token]:
             i += 1
             continue
         col = i + 1
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("int", text[i:j], col))
             i = j
@@ -236,11 +236,11 @@ def _parse_option(words, lineno: int) -> tuple[str, object]:
         raise ProblemError(f"unknown option {name!r}", lineno, name_col)
     if name == "order":
         parts = value.split(",")
-        if not all(p.isdigit() and int(p) >= 1 for p in parts):
+        if not all(p.isdecimal() and int(p) >= 1 for p in parts):
             raise ProblemError("order weights must be positive integers",
                                lineno, value_col)
         return name, tuple(int(p) for p in parts)
-    if not value.isdigit():
+    if not value.isdecimal():
         raise ProblemError(f"option {name} needs a nonnegative integer",
                            lineno, value_col)
     return name, int(value)

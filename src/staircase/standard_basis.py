@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 from .core import (
     FIELD_BITS, FIELD_LIMIT, Exponent, Order, Poly, Ring, _merge, _reach,
-    _Record, exp_add, exp_lcm, resolve_ring,
+    _Record, exp_lcm, resolve_ring,
 )
 from .diagram import Diagram, covering_length
 
@@ -174,32 +174,6 @@ class MoraTrace(_Record):
         return unit
 
 
-class _Entry:
-    """A reducer in Mora's pool, in packed form: the polynomial is
-    scale * sum(ints[i] * x^keys[i]), and top bounds its exponent entries."""
-
-    __slots__ = ("keys", "ints", "scale", "top", "ecart", "label")
-
-    def __init__(self, keys: list[int], ints: list[int], scale: Fraction,
-                 top: int, ecart: int, label: str):
-        self.keys = keys
-        self.ints = ints
-        self.scale = scale
-        self.top = top
-        self.ecart = ecart
-        self.label = label
-
-    def __eq__(self, other):
-        if other.__class__ is not _Entry:
-            return NotImplemented
-        return all(getattr(self, n) == getattr(other, n)
-                   for n in self.__slots__)
-
-    def __repr__(self):
-        return "_Entry(" + ", ".join(
-            f"{n}={getattr(self, n)!r}" for n in self.__slots__) + ")"
-
-
 def _primitive(ints: list[int]) -> tuple[list[int], int]:
     """ints divided by their content, and the content (0 for no ints)."""
     content = gcd(*ints)
@@ -263,9 +237,13 @@ def mora_normal_form(
     # fields, which the ecarts read.
     low = FIELD_BITS * ring.arity
     guards = sum(FIELD_LIMIT << (FIELD_BITS * i) for i in range(ring.arity))
-    pool = [_Entry(g.keys, g.ints, g.scale, g.top,
-                   (g.keys[-1] >> low) - (g.keys[0] >> low), f"r{i}")
-            for i, g in enumerate(reducers)]
+    # A pool entry is (ecart, initial key, position, label, keys, ints, scale,
+    # top): the polynomial is scale * sum(ints[i] * x^keys[i]), and top bounds
+    # its exponent entries. The first three fields lead so that the least
+    # entry is Mora's choice: least ecart, then least initial key, then the
+    # earliest. Positions are unique, so no comparison reaches the lists.
+    pool = [((g.keys[-1] >> low) - (g.keys[0] >> low), g.keys[0], i, f"r{i}",
+             g.keys, g.ints, g.scale, g.top) for i, g in enumerate(reducers)]
     keys, ints, scale, top = f.keys, f.ints, f.scale, f.top
     end, top = _cut(order, keys, top, 0, length_cap)
     if end < len(keys):
@@ -278,38 +256,35 @@ def mora_normal_form(
         # x^e divides x^lead exactly when no field of (lead | guards) - e
         # borrows from its guard bit.
         probe = lead | guards
-        # The least (ecart, initial key) wins, ties going to the earliest.
         chosen = None
         for entry in pool:
-            if (probe - entry.keys[0]) & guards == guards and (
-                    chosen is None
-                    or (entry.ecart, entry.keys[0])
-                    < (chosen.ecart, chosen.keys[0])):
+            if (probe - entry[1]) & guards == guards and (
+                    chosen is None or entry < chosen):
                 chosen = entry
         if chosen is None:
             break
+        g_ecart, g_lead, _, label, g_keys, g_ints, gs, g_top = chosen
         h_ecart = (keys[-1] >> low) - (lead >> low)
-        if chosen.ecart > h_ecart:
+        if g_ecart > h_ecart:
             if len(pool) >= ceiling:
                 raise PoolLimitExceeded(ceiling)
-            pool.append(_Entry(keys, ints, scale, top, h_ecart,
-                               f"p{len(pooled_at)}"))
+            pool.append((h_ecart, lead, len(pool), f"p{len(pooled_at)}",
+                         keys, ints, scale, top))
             pooled_at.append(len(steps))
-        shift = lead - chosen.keys[0]
+        shift = lead - g_lead
         shift_exp = unpack(shift)
-        end, reach = _cut(order, chosen.keys, chosen.top + max(shift_exp),
-                          shift, length_cap)
+        end, reach = _cut(order, g_keys, g_top + max(shift_exp), shift,
+                          length_cap)
         top = max(top, reach)
-        hc0, gc0, gs = ints[0], chosen.ints[0], chosen.scale
-        steps.append(MoraStep(chosen.label, shift_exp, Fraction(
+        hc0, gc0 = ints[0], g_ints[0]
+        steps.append(MoraStep(label, shift_exp, Fraction(
             scale.numerator * hc0 * gs.denominator,
             scale.denominator * gc0 * gs.numerator)))
         # h = (scale/a) * (a*h' - b*x^shift*g'), where h' and g' are the
         # integer parts: a*hc0 = b*gc0 cancels the initial term.
         d = gcd(hc0, gc0)
         a, b = gc0 // d, hc0 // d
-        keys, ints = _merge(keys, ints, a, chosen.keys, chosen.ints, b,
-                            shift, end)
+        keys, ints = _merge(keys, ints, a, g_keys, g_ints, b, shift, end)
         ints, content = _primitive(ints)
         scale = Fraction(scale.numerator * content, scale.denominator * a)
         if budget is not None and ints:
@@ -320,7 +295,7 @@ def mora_normal_form(
                 raise WorkBudgetExceeded(budget)
     remainder = Poly._of(ring, keys, ints, scale, top)
     assert remainder.is_zero or all(
-        ((keys[0] | guards) - entry.keys[0]) & guards != guards
+        ((keys[0] | guards) - entry[1]) & guards != guards
         for entry in pool)
     return remainder, MoraTrace(ring, tuple(steps), tuple(pooled_at))
 
@@ -346,11 +321,13 @@ class SBasis(NamedTuple):
     trace: tuple[SPairRecord, ...]
 
 
-def _spoly(f: Poly, g: Poly, cap: int | None) -> Poly:
-    """The s-polynomial of f and g without its terms of length >= cap."""
+def _spoly(f: Poly, g: Poly, lcm: int, cap: int | None) -> Poly:
+    """The s-polynomial of f and g without its terms of length >= cap.
+
+    `lcm` is the packed key of the lcm of their initial exponents, as the
+    completion's s-pair queue holds it."""
     ring, order = f.ring, f.ring.order
     fk, fc, gk, gc = f.keys, f.ints, g.keys, g.ints
-    lcm = order.pack(exp_lcm(f.initial_exponent(), g.initial_exponent()))
     sf, sg = lcm - fk[0], lcm - gk[0]
     end_f, top_f = _cut(order, fk, f.top + max(order.unpack(sf)), sf, cap)
     end_g, top_g = _cut(order, gk, g.top + max(order.unpack(sg)), sg, cap)
@@ -454,12 +431,12 @@ def _complete(gens: list[Poly], ring: Ring, length_cap: int | None) -> SBasis:
 
     cap = window_cap()
     while heap:
-        _, i, j = heapq.heappop(heap)
-        lcm = exp_lcm(inexps[i], inexps[j])
-        if lcm == exp_add(inexps[i], inexps[j]):
+        lcm, i, j = heapq.heappop(heap)
+        # Packed keys add as exponents do, so this is lcm == in(i) + in(j).
+        if lcm == basis[i].keys[0] + basis[j].keys[0]:
             records.append(SPairRecord(0, True, None, True))
             continue
-        s = _spoly(basis[i], basis[j], cap)
+        s = _spoly(basis[i], basis[j], lcm, cap)
         if s.is_zero:
             records.append(SPairRecord(0, True, None))
             continue

@@ -63,6 +63,8 @@ def test_parse_poly_pinned():
     ("", 1, "expected a term"),
     ("x++y", 3, "expected a term"),
     ("@", 1, "unexpected character"),
+    ("x^²", 3, "unexpected character"),
+    ("²*x", 1, "unexpected character"),
 ])
 def test_parse_poly_errors(text, column, fragment):
     with pytest.raises(ProblemError) as info:
@@ -133,6 +135,8 @@ def test_order_option_and_override():
     ("ring x y\noption seed 1\noption seed 2", 3, "duplicate option"),
     ("ring x y\noption colour 1", 2, "unknown option"),
     ("ring x y\noption seed -3", 2, "nonnegative integer"),
+    ("ring x y\noption seed ²", 2, "nonnegative integer"),
+    ("ring x y\noption order ²", 2, "positive integers"),
     ("ring x y\noption seed", 2, "single value"),
     ("ring x y\nx + y", 2, "polynomial outside a block"),
     ("ring x y\nideal I\nideal I", 3, "duplicate name"),

@@ -77,8 +77,7 @@ VALUE_METHODS = {"__eq__", "__hash__", "__setattr__", "__repr__"}
 
 def test_value_semantics_are_written_once():
     # The record classes inherit theirs from core._Record; only Poly, which
-    # equals scalars and leaves `top` out, and Mora's mutable pool entry
-    # define their own.
+    # equals scalars and leaves `top` out, defines its own.
     owners = set()
     for path in (ROOT / "src" / "staircase").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -86,7 +85,7 @@ def test_value_semantics_are_written_once():
                     isinstance(f, ast.FunctionDef) and f.name in VALUE_METHODS
                     for f in node.body):
                 owners.add(f"{path.stem}.{node.name}")
-    assert owners == {"core._Record", "core.Poly", "standard_basis._Entry"}
+    assert owners == {"core._Record", "core.Poly"}
 
 
 # `from staircase import *` binds these names, the submodules among them.

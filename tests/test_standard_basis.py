@@ -68,6 +68,18 @@ def test_mora_pinned_unit_along_a_pool_chain():
     assert [step.reducer for step in trace.steps] == ["r0", "p0", "p0", "p1"]
 
 
+def test_mora_picks_the_least_ecart_then_initial_key_then_earliest():
+    # The first step's reducer: equal candidates go to the earliest, equal
+    # ecarts to the smaller initial key (y comes before x), and a smaller
+    # ecart wins over a smaller initial key.
+    for f, reducers, first in [
+            (X, [X + X ** 2, X + 2 * X ** 2], "r0"),
+            (X * Y, [X + X ** 2, Y + Y ** 2], "r1"),
+            (X * Y, [X + X ** 3, Y + Y ** 2], "r1")]:
+        _, trace = mora_normal_form(f, reducers)
+        assert trace.steps[0].reducer == first
+
+
 def test_mora_validates_inputs():
     with pytest.raises(ValueError):
         mora_normal_form(X, [RING.zero()])
@@ -230,8 +242,10 @@ def test_shifts_whose_entries_fit_are_not_refused():
     # y^n: it is y^n*(x + x^n) less one step by x*g, replayed on dicts.
     g = Y ** n + X * Y ** n
     one_step = MoraTrace(RING, (MoraStep("r0", (1, 0), Fraction(1)),), ())
+    lcm = RING.order.pack(exp_lcm(reducers[0].initial_exponent(),
+                                  g.initial_exponent()))
     for cap in (None, 2 * n + 1, 2 * n):  # the last cuts x^n*y^n
-        assert _spoly(reducers[0], g, cap).terms == _replay(
+        assert _spoly(reducers[0], g, lcm, cap).terms == _replay(
             Y ** n * reducers[0], [g], one_step, cap)
 
 
@@ -544,14 +558,15 @@ def test_capped_spoly_is_the_spoly_without_its_deep_terms(pair, cap):
     ring, f, g = pair
     a, b = f.initial_exponent(), g.initial_exponent()
     lcm = exp_lcm(a, b)
+    packed = ring.order.pack(lcm)
     full = (f * ring.monomial(exp_sub(lcm, a))).scaled(1 / f.initial_coefficient()) \
         - (g * ring.monomial(exp_sub(lcm, b))).scaled(1 / g.initial_coefficient())
     length = ring.order.length
     kept = tuple(t for t in full.terms if cap is None or length(t[0]) < cap)
-    assert _spoly(f, g, cap) == Poly.from_terms(ring, kept)
-    assert is_canonical(_spoly(f, g, cap))
+    assert _spoly(f, g, packed, cap) == Poly.from_terms(ring, kept)
+    assert is_canonical(_spoly(f, g, packed, cap))
     if cap is not None and length(lcm) >= cap:
-        assert _spoly(f, g, cap).is_zero
+        assert _spoly(f, g, packed, cap).is_zero
     # A capped remainder keeps no term at or beyond the cap.
     if cap is not None:
         remainder, _ = mora_normal_form(f, [g], length_cap=cap)
