@@ -56,6 +56,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+class _CommandParser(_Parser):
+    """A subcommand's parser, which adds its arguments when it first parses.
+
+    Only the command that argv selects parses, so a run builds the arguments
+    of one command, not of all of them.
+    """
+
+    def __init__(self, *, arguments=(), **kwargs):
+        super().__init__(**kwargs)
+        self._pending = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        for flags, options in self._pending:
+            self.add_argument(*flags, **options)
+        self._pending = ()
+        return super().parse_known_args(args, namespace)
+
+
 _ORDER = (("--order",), {"help": "order weights, comma separated"})
 _SEED = (("--seed",), {"type": int, "default": None,
                        "help": "random seed (default 0)"})
@@ -79,19 +97,22 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Staircases of local ideals: diagrams, "
                                  "standard bases, jets, flatness verdicts.")
     sub = parser.add_subparsers(dest="command", metavar="command",
-                                parser_class=_Parser)
+                                parser_class=_CommandParser)
     sub.required = True
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        if command.over is not None:
-            p.add_argument("file", help="problem file path")
-        own = [_ORDER, _SEED, _JSON, *command.arguments]
-        if command.failed is not None:
-            own.append(_EXPECT_YES)
-        for flags, options in ([spec for spec in _SHARED if spec in own]
-                               + [spec for spec in own if spec not in _SHARED]):
-            p.add_argument(*flags, **options)
+        sub.add_parser(name, help=command.help, arguments=_arguments(command))
     return parser
+
+
+def _arguments(command) -> list:
+    """A command's (flags, options) pairs in the order --help lists them."""
+    own = [_ORDER, _SEED, _JSON, *command.arguments]
+    if command.failed is not None:
+        own.append(_EXPECT_YES)
+    file = ([(("file",), {"help": "problem file path"})]
+            if command.over is not None else [])
+    return (file + [spec for spec in _SHARED if spec in own]
+            + [spec for spec in own if spec not in _SHARED])
 
 
 def _parse_order_flag(text):

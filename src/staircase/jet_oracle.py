@@ -9,11 +9,19 @@ inside it, so the pivot set equals the window of the ideal's diagram of
 initial exponents, with no recourse to division or completion arguments.
 This route is deliberately disjoint from the standard basis engine and is
 used to cross-validate it.
+
+A row is a dict from window positions to integers. Each generator's
+denominators are cleared and its content divided out once. A reduction step
+clears the row's lead against the pivot row with two coprime cofactors,
+b*row - a*pivot, and one content gcd makes the surviving row primitive:
+fraction-free elimination in the manner of Bareiss (Math. Comp. 1968).
+Membership input is scaled to a primitive integer row before it is reduced.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .core import Exponent, Poly, Ring, _Record, exp_add, resolve_ring
@@ -33,17 +41,18 @@ __all__ = [
 class TruncationBasis(_Record):
     """Echelonized row space of the generators' jets below a length bound.
 
-    Pivot columns are normalized to 1 and each pivot is the order-minimal
-    nonzero position of its row, so the pivot exponents are initial exponents
-    of ideal elements and conversely every initial exponent inside the window
-    appears as a pivot. `build` fills the `_pivots` dict in place.
+    Pivot rows are primitive integer rows, not normalized at the pivot, and
+    each pivot is the order-minimal nonzero position of its row, so the pivot
+    exponents are initial exponents of ideal elements and conversely every
+    initial exponent inside the window appears as a pivot. `build` fills the
+    `_pivots` dict in place.
     """
 
     _fields = ("ring", "bound", "monomials", "_index", "_pivots")
 
     def __init__(self, ring: Ring, bound: int, monomials: tuple[Exponent, ...],
                  _index: dict[Exponent, int],
-                 _pivots: dict[int, dict[int, Fraction]]):
+                 _pivots: dict[int, dict[int, int]]):
         self._set(ring=ring, bound=bound, monomials=monomials, _index=_index,
                   _pivots=_pivots)
 
@@ -60,38 +69,46 @@ class TruncationBasis(_Record):
         for g in gens:
             if g.is_zero:
                 continue
+            terms = _primitive_row(dict(g.terms)).items()
             head = length(g.initial_exponent())
             for shift in exponents_below(order, bound - head):
-                row: dict[int, Fraction] = {}
-                for e, c in g.terms:
+                row: dict[int, int] = {}
+                for e, c in terms:
                     pos = index.get(exp_add(e, shift))
                     if pos is not None:
                         row[pos] = c
                 basis._insert(row)
         return basis
 
-    def _eliminate(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
+    def _eliminate(self, row: dict[int, int]) -> dict[int, int]:
+        """Reduce an integer row in place until its lead is no pivot: the
+        result is a nonzero multiple of the row plus pivot rows."""
+        pivots = self._pivots
         while row:
             lead = min(row)
-            pivot = self._pivots.get(lead)
+            pivot = pivots.get(lead)
             if pivot is None:
-                return row
-            factor = row[lead]
+                break
+            a, b = row[lead], pivot[lead]
+            common = gcd(a, b)
+            a, b = a // common, b // common
+            if b != 1:
+                for col in row:
+                    row[col] *= b
             for col, val in pivot.items():
-                new = row.get(col, 0) - factor * val
+                new = row.get(col, 0) - a * val
                 if new:
                     row[col] = new
                 else:
-                    row.pop(col, None)
+                    del row[col]
         return row
 
-    def _insert(self, row: dict[int, Fraction]) -> int | None:
-        row = self._eliminate(dict(row))
+    def _insert(self, row: dict[int, int]) -> int | None:
+        row = self._eliminate(row)
         if not row:
             return None
         lead = min(row)
-        inv = row[lead]
-        self._pivots[lead] = {col: val / inv for col, val in row.items()}
+        self._pivots[lead] = _content_free(row)
         return lead
 
     def pivot_exponents(self) -> list[Exponent]:
@@ -113,7 +130,20 @@ class TruncationBasis(_Record):
 
     def contains_mod_truncation(self, f: Poly) -> bool:
         """Membership in the generated ideal modulo lengths >= bound."""
-        return not self._eliminate(self.project(f))
+        return not self._eliminate(_primitive_row(self.project(f)))
+
+
+def _content_free(row: dict) -> dict:
+    """An integer row divided by the gcd of its entries."""
+    content = gcd(*row.values())
+    return row if content == 1 else {k: c // content for k, c in row.items()}
+
+
+def _primitive_row(row: dict) -> dict:
+    """The primitive integer row proportional to a rational row."""
+    common = lcm(*(c.denominator for c in row.values()))
+    return _content_free({k: c.numerator * (common // c.denominator)
+                          for k, c in row.items()})
 
 
 def truncated_diagram(gens, bound: int, *, ring: Ring | None = None) -> Diagram:

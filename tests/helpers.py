@@ -4,7 +4,7 @@ import math
 import random
 from fractions import Fraction
 
-from staircase import Poly, Ring
+from staircase import Order, Poly, Ring
 
 
 def random_exponent(rng: random.Random, arity: int, max_degree: int):
@@ -17,7 +17,7 @@ def random_exponent(rng: random.Random, arity: int, max_degree: int):
 
 def random_poly(rng: random.Random, ring: Ring, max_degree: int = 4,
                 max_terms: int = 4, coeff_bound: int = 4,
-                zero_ok: bool = False) -> Poly:
+                zero_ok: bool = False, max_denominator: int = 1) -> Poly:
     while True:
         count = rng.randint(0 if zero_ok else 1, max_terms)
         pairs = []
@@ -25,6 +25,8 @@ def random_poly(rng: random.Random, ring: Ring, max_degree: int = 4,
             coeff = 0
             while coeff == 0:
                 coeff = rng.randint(-coeff_bound, coeff_bound)
+            if max_denominator > 1:
+                coeff = Fraction(coeff, rng.randint(1, max_denominator))
             pairs.append((random_exponent(rng, ring.arity, max_degree),
                           Fraction(coeff)))
         p = Poly.from_terms(ring, pairs)
@@ -32,9 +34,13 @@ def random_poly(rng: random.Random, ring: Ring, max_degree: int = 4,
             return p
 
 
-def random_ring(rng: random.Random, max_arity: int = 3) -> Ring:
+def random_ring(rng: random.Random, max_arity: int = 3,
+                max_weight: int = 1) -> Ring:
     arity = rng.randint(1, max_arity)
-    return Ring(tuple("xyz")[:arity])
+    # Unit weights draw nothing, so seeded callers keep their streams.
+    weights = (tuple(rng.randint(1, max_weight) for _ in range(arity))
+               if max_weight > 1 else (1,) * arity)
+    return Ring(tuple("xyz")[:arity], order=Order(weights))
 
 
 def random_ideal(rng: random.Random, ring: Ring, max_gens: int = 3,
@@ -75,11 +81,12 @@ def random_tail(rng: random.Random, ring: Ring, degree_low: int,
     return Poly.from_terms(ring, pairs)
 
 
-def vanishing_poly(rng: random.Random, ring: Ring,
-                   max_degree: int = 4) -> Poly:
+def vanishing_poly(rng: random.Random, ring: Ring, max_degree: int = 4,
+                   max_denominator: int = 1) -> Poly:
     """Random nonzero polynomial with zero constant term."""
     while True:
-        p = random_poly(rng, ring, max_degree=max_degree)
+        p = random_poly(rng, ring, max_degree=max_degree,
+                        max_denominator=max_denominator)
         p = p - ring.constant(p.constant_term)
         if not p.is_zero:
             return p

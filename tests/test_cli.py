@@ -440,3 +440,29 @@ def test_golden_stdout(capsys, tmp_path, monkeypatch, stem, argv, suffix, flags)
     code, out, _ = run(capsys, argv + flags)
     assert code == 0
     assert out == (GOLDEN / (stem + suffix)).read_text()
+
+
+# Help texts and usage errors, taken from the command line that built every
+# command's arguments up front; the parser now builds only the selected
+# command's, and these must not move.
+USAGE_CASES = json.loads((GOLDEN / "usage.json").read_text())
+
+
+@pytest.mark.parametrize("case", USAGE_CASES,
+                         ids=lambda case: " ".join(case["argv"]) or "-")
+def test_help_and_usage_errors_are_unchanged(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    try:
+        code = main(case["argv"])
+    except SystemExit as exc:  # --help prints and exits through argparse
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def test_only_the_selected_command_builds_its_arguments():
+    parser = build_parser()
+    parser.parse_args(["jet", "f.txt", "--mu", "3"])
+    subparsers = parser._subparsers._group_actions[0].choices
+    built = {name for name, sub in subparsers.items() if sub._actions[1:]}
+    assert built == {"jet"}

@@ -1,6 +1,7 @@
 """The linear-algebra window engine and its agreement with the exact one."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -16,7 +17,7 @@ from staircase import (
     truncated_quotient_dim,
     truncated_series_generators,
 )
-from helpers import random_ideal, random_ring
+from helpers import random_ideal, random_ring, vanishing_poly
 
 RING = Ring(("x", "y"))
 X = RING.variable("x")
@@ -67,12 +68,66 @@ def test_membership_mod_truncation():
     assert not window.contains_mod_truncation(X + Y ** 2)
 
 
+# Leads 2, 4 and 6 share factors, and the denominators decide which terms
+# cancel: 4*x + y^2 + y^3 - 2*(2*x + 1/2*y^2) = y^3, so y^2 is no pivot.
+RATIONAL_GENS = ["2*x + 1/2*y^2", "4*x + y^2 + y^3", "6*x*y - 1/3*y^3"]
+
+
+def rational_ideal(rng, ring):
+    """One to three generators without constant term, with fractions."""
+    return [vanishing_poly(rng, ring, max_denominator=6)
+            for _ in range(rng.randint(1, 3))]
+
+
+def test_rows_are_primitive_integer_rows():
+    rng = random.Random(304)
+    ideals = [[parse_poly(t, RING) for t in RATIONAL_GENS]]
+    for _ in range(20):
+        ring = random_ring(rng, max_weight=3)
+        ideals.append(rational_ideal(rng, ring))
+    for gens in ideals:
+        window = TruncationBasis.build(gens, 7)
+        for lead, row in window._pivots.items():
+            assert min(row) == lead
+            assert all(type(v) is int and v for v in row.values())
+            assert gcd(*row.values()) == 1
+
+
+def test_rational_generators_with_shared_lead_factors_pinned():
+    gens = [parse_poly(t, RING) for t in RATIONAL_GENS]
+    assert TruncationBasis.build(gens, 5).pivot_exponents() == [
+        (1, 0), (1, 1), (2, 0), (0, 3), (1, 2), (2, 1), (3, 0), (0, 4),
+        (1, 3), (2, 2), (3, 1), (4, 0)]
+    assert diagram_of_ideal(gens).vertices == ((1, 0), (0, 3))
+
+
+def test_membership_of_rational_polynomials():
+    gens = [parse_poly(t, RING) for t in RATIONAL_GENS]
+    window = TruncationBasis.build(gens, 5)
+    for text, member in [("x + 1/4*y^2", True), ("1/2*x*y + 3/8*y^3", True),
+                         ("x - 1/4*y^2", False), ("2/3*y^2 + x^4", False)]:
+        assert window.contains_mod_truncation(parse_poly(text, RING)) is member
+
+
 def test_pivots_equal_exact_staircase_on_random_ideals():
     rng = random.Random(301)
     for _ in range(30):
         ring = random_ring(rng)
         gens = random_ideal(rng, ring)
         bound = 6
+        window = TruncationBasis.build(gens, bound)
+        exact = diagram_of_ideal(gens)
+        expected = {e for e in exponents_below(ring.order, bound)
+                    if exact.contains(e)}
+        assert set(window.pivot_exponents()) == expected
+
+
+def test_pivots_equal_exact_staircase_on_weighted_rational_ideals():
+    rng = random.Random(305)
+    for _ in range(30):
+        ring = random_ring(rng, max_weight=3)
+        gens = rational_ideal(rng, ring)
+        bound = 8
         window = TruncationBasis.build(gens, bound)
         exact = diagram_of_ideal(gens)
         expected = {e for e in exponents_below(ring.order, bound)

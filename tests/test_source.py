@@ -72,6 +72,41 @@ def test_every_name_the_tracer_wraps_resolves():
                 assert name in cls.__dict__, f"{layer}.{clsname}.{name}"
 
 
+def identifiers(path: Path) -> set[str]:
+    """Every name a module binds, reads or takes as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+    return names
+
+
+# Mora's packed form: the merge kernel, the key packing and Poly's fields.
+PACKED_FORM = {"_merge", "pack", "unpack", "unpack_all", "keys", "ints",
+               "scale", "top"}
+
+
+def test_the_oracle_shares_no_code_with_the_engine_it_checks():
+    # The oracle reads polynomials through `terms` and runs its own
+    # elimination; of the engine's private names it uses only the record
+    # base and the two names that base's subclasses define.
+    src = ROOT / "src" / "staircase"
+    engine = identifiers(src / "core.py") | identifiers(src / "standard_basis.py")
+    private = {n for n in engine
+               if n.startswith("_") and not n.startswith("__") and n != "_"}
+    oracle = identifiers(src / "jet_oracle.py")
+    assert oracle & PACKED_FORM == set()
+    assert oracle & private == {"_Record", "_fields", "_set"}
+
+
 VALUE_METHODS = {"__eq__", "__hash__", "__setattr__", "__repr__"}
 
 
