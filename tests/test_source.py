@@ -97,7 +97,7 @@ PACKED_FORM = {"_merge", "pack", "unpack", "unpack_all", "keys", "ints",
 def test_the_oracle_shares_no_code_with_the_engine_it_checks():
     # The oracle reads polynomials through `terms` and runs its own
     # elimination; of the engine's private names it uses only the record
-    # base and the two names that base's subclasses define.
+    # base, the base's `_set` and the `_fields` its subclasses declare.
     src = ROOT / "src" / "staircase"
     engine = identifiers(src / "core.py") | identifiers(src / "standard_basis.py")
     private = {n for n in engine
