@@ -14,7 +14,15 @@ clean resource error instead of a hang, and so does a work budget on the
 size of the intermediate result while no length cap bounds it.
 
 The Buchberger-style completion processes s-pairs in ascending lcm order and
-skips pairs with coprime initial exponents; both are sound for these orders.
+forms them by Gebauer and Moeller's update (J. Symbolic Comput. 6, 1988), the
+pair criteria that Singular's local `std` uses beside the highest-corner
+test. When an element t enters, a queued pair (i, j) whose lcm in(t)
+divides is dropped unless lcm(i, t) or lcm(j, t) equals it (the chain
+criterion). Of the new pairs (i, t), one whose lcm another's properly
+divides is dropped, and of those with equal lcm one is kept, none if one of
+them has coprime initial exponents, whose s-polynomial reduces to zero. An
+element whose initial exponent in(t) divides forms no later pairs, but stays
+a reducer. All of this is sound for these orders.
 Once the partial staircase already has a finite complement, every term whose
 weighted length clears that complement lies in the ideal, so reductions may
 delete such terms outright. The completion passes that bound to the divider,
@@ -48,6 +56,7 @@ import os
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 from math import gcd
 from typing import NamedTuple
 
@@ -182,6 +191,13 @@ def _primitive(ints: list[int]) -> tuple[list[int], int]:
     return ints, content
 
 
+def _guards(arity: int) -> int:
+    """The guard bits of packed keys of the given arity: x^e divides x^k
+    exactly when no field of (k | guards) - e borrows from its guard bit,
+    that is when ((k | guards) - e) & guards == guards."""
+    return sum(FIELD_LIMIT << (FIELD_BITS * i) for i in range(arity))
+
+
 def _cut(order: Order, keys: list[int], bound: int, shift: int,
          cap: int | None) -> tuple[int, int]:
     """The end of the prefix of keys that x^shift moves below the length cap
@@ -236,7 +252,7 @@ def mora_normal_form(
     # Packed keys carry the weighted length above `low` bits of exponent
     # fields, which the ecarts read.
     low = FIELD_BITS * ring.arity
-    guards = sum(FIELD_LIMIT << (FIELD_BITS * i) for i in range(ring.arity))
+    guards = _guards(ring.arity)
     # A pool entry is (ecart, initial key, position, label, keys, ints, scale,
     # top): the polynomial is scale * sum(ints[i] * x^keys[i]), and top bounds
     # its exponent entries. The first three fields lead so that the least
@@ -253,8 +269,6 @@ def mora_normal_form(
     pooled_at: list[int] = []
     while keys:
         lead = keys[0]
-        # x^e divides x^lead exactly when no field of (lead | guards) - e
-        # borrows from its guard bit.
         probe = lead | guards
         chosen = None
         for entry in pool:
@@ -301,15 +315,28 @@ def mora_normal_form(
 
 
 class SPairRecord(NamedTuple):
+    """One s-pair of the completion: the Mora steps that reduced it, whether
+    it added nothing to the basis, and the index of what it added.
+
+    A pair that a criterion drops is not reduced: it is recorded with no
+    steps as reduced to zero, with `skipped_coprime` when its initial
+    exponents are coprime, whichever criterion drops it, and with
+    `skipped_chain` otherwise.
+    """
+
     steps: int
     reduced_to_zero: bool
     added_index: int | None
     skipped_coprime: bool = False
+    skipped_chain: bool = False
 
 
 class SBasis(NamedTuple):
     """A standard basis together with its staircase and the completion log.
 
+    `trace` holds one record per s-pair the completion formed, reduced or
+    dropped by a criterion. An element that a later one makes redundant
+    forms no pairs with the elements after it, but stays in `basis`.
     After a work budget breach, `basis` and `trace` are those of the capped
     round that certified the highest corner: the trace holds only that
     round's s-pairs, not those of the breached uncapped attempt or of the
@@ -411,15 +438,43 @@ def _complete(gens: list[Poly], ring: Ring, length_cap: int | None) -> SBasis:
                                   top).content_normalized())
     inexps: list[Exponent] = [b.initial_exponent() for b in basis]
     records: list[SPairRecord] = []
-    pack = ring.order.pack
+    pack, guards = ring.order.pack, _guards(ring.arity)
     heap: list[tuple[int, int, int]] = []
+    live: list[int] = []  # the elements that still form pairs
+    coprime_skip = SPairRecord(0, True, None, skipped_coprime=True)
+    chain_skip = SPairRecord(0, True, None, skipped_chain=True)
 
-    def push_pairs(j: int) -> None:
-        for i in range(j):
-            heapq.heappush(heap, (pack(exp_lcm(inexps[i], inexps[j])), i, j))
+    def enter(t: int) -> None:
+        # Gebauer and Moeller's update as basis[t] enters. Packed keys add as
+        # exponents do, and a proper divisor of an lcm is a shorter term with
+        # a smaller key, so sorting the new pairs puts such divisors first.
+        lead = basis[t].keys[0]
+        lcms = [pack(exp_lcm(e, inexps[t])) for e in inexps[:t]]
+        queued = len(heap)
+        heap[:] = [(lcm, i, j) for lcm, i, j in heap
+                   if ((lcm | guards) - lead) & guards != guards
+                   or lcm == lcms[i] or lcm == lcms[j]]
+        records.extend([chain_skip] * (queued - len(heap)))
+        heapq.heapify(heap)
+        minimal: list[int] = []
+        for lcm, group in groupby(sorted((lcms[i], i) for i in live),
+                                  key=lambda pair: pair[0]):
+            indices = [i for _, i in group]
+            coprime = [lcm == basis[i].keys[0] + lead for i in indices]
+            kept = None
+            if all(((lcm | guards) - m) & guards != guards for m in minimal):
+                minimal.append(lcm)
+                if not any(coprime):
+                    kept = indices[0]
+                    heapq.heappush(heap, (lcm, kept, t))
+            records.extend(coprime_skip if c else chain_skip
+                           for i, c in zip(indices, coprime) if i != kept)
+        live[:] = [i for i in live
+                   if ((basis[i].keys[0] | guards) - lead) & guards != guards]
+        live.append(t)
 
-    for j in range(len(basis)):
-        push_pairs(j)
+    for t in range(len(basis)):
+        enter(t)
 
     def window_cap() -> int | None:
         # With a finite complement, a monomial of length >= the covering
@@ -432,10 +487,6 @@ def _complete(gens: list[Poly], ring: Ring, length_cap: int | None) -> SBasis:
     cap = window_cap()
     while heap:
         lcm, i, j = heapq.heappop(heap)
-        # Packed keys add as exponents do, so this is lcm == in(i) + in(j).
-        if lcm == basis[i].keys[0] + basis[j].keys[0]:
-            records.append(SPairRecord(0, True, None, True))
-            continue
         s = _spoly(basis[i], basis[j], lcm, cap)
         if s.is_zero:
             records.append(SPairRecord(0, True, None))
@@ -449,7 +500,7 @@ def _complete(gens: list[Poly], ring: Ring, length_cap: int | None) -> SBasis:
         inexps.append(remainder.initial_exponent())
         new_index = len(basis) - 1
         records.append(SPairRecord(len(trace.steps), False, new_index))
-        push_pairs(new_index)
+        enter(new_index)
         cap = window_cap()
     diagram = Diagram.from_exponents(inexps, arity=ring.arity)
     return SBasis(tuple(basis), diagram, tuple(records))

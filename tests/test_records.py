@@ -97,8 +97,10 @@ CASES = [
                      "pooled_at": ()},
          ("pooled_at", (0,))),
     Case(SPairRecord, {"steps": 1, "reduced_to_zero": True,
-                       "added_index": None, "skipped_coprime": False},
-         ("added_index", 2), defaults={"skipped_coprime": False}),
+                       "added_index": None, "skipped_coprime": False,
+                       "skipped_chain": False},
+         ("added_index", 2),
+         defaults={"skipped_coprime": False, "skipped_chain": False}),
     Case(SBasis, {"basis": (X,), "diagram": Diagram(2, ((1, 0),)),
                   "trace": (SPairRecord(0, True, None, True),)},
          ("basis", (X + X ** 2,))),

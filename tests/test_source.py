@@ -5,6 +5,7 @@ the modules its command runs."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -176,3 +177,29 @@ def test_the_command_line_loads_only_what_its_command_runs(tmp_path):
     assert report["standard_basis"] == "function"
     assert report["demo"] == "staircase.demo"
     assert report["star"] == PUBLIC_NAMES
+
+
+def test_the_completion_has_no_off_switch():
+    # The pair criteria run on every completion: standard_basis.py reads no
+    # environment variable but its two resource limits, and neither the
+    # completion nor its entry point takes a keyword to turn them off.
+    module = importlib.import_module("staircase.standard_basis")
+    tree = ast.parse((ROOT / "src" / "staircase" / "standard_basis.py")
+                     .read_text())
+    environment = {"environ", "environb", "getenv", "getenvb"}
+    readers = {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+               for n in ast.walk(f)
+               if getattr(n, "attr", getattr(n, "id", None)) in environment}
+    assert readers == {"_resolve_limit"}
+    limits = {module.POOL_CEILING_ENV, module.WORK_BUDGET_ENV}
+    assert limits == {"STAIRCASE_POOL_CEILING", "STAIRCASE_WORK_BUDGET"}
+    read = {n.args[0].id for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and getattr(n.func, "id", None) == "_resolve_limit"}
+    assert read == {"POOL_CEILING_ENV", "WORK_BUDGET_ENV"}
+    named = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
+             and isinstance(n.value, str) and n.value.startswith("STAIRCASE_")}
+    assert named == limits
+    assert list(inspect.signature(module._complete).parameters) == [
+        "gens", "ring", "length_cap"]
+    assert list(inspect.signature(module.standard_basis).parameters) == [
+        "gens", "ring", "length_cap"]

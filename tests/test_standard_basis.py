@@ -252,7 +252,7 @@ def test_shifts_whose_entries_fit_are_not_refused():
 def test_standard_basis_calls_mora_once_per_reduced_spair(monkeypatch):
     # perfbench counts Mora calls by wrapping the module's name, so the
     # completion must reach Mora through it for every s-pair it reduces:
-    # all but the coprime skips and the s-polynomials that vanish.
+    # all but the coprime and chain skips and the s-polynomials that vanish.
     module = importlib.import_module("staircase.standard_basis")
     original = module.mora_normal_form
     calls = []
@@ -263,17 +263,19 @@ def test_standard_basis_calls_mora_once_per_reduced_spair(monkeypatch):
 
     monkeypatch.setattr(module, "mora_normal_form", counting)
     rng = random.Random(210)
-    total = 0
+    total = chain = 0
     for _ in range(40):
         ring = random_ring(rng)
         gens = random_ideal(rng, ring, max_degree=4)
         calls.clear()
         sb = standard_basis(gens)
-        reduced = [r for r in sb.trace if not r.skipped_coprime
+        reduced = [r for r in sb.trace
+                   if not r.skipped_coprime and not r.skipped_chain
                    and not (r.steps == 0 and r.reduced_to_zero)]
         assert len(calls) == len(reduced)
         total += len(calls)
-    assert total
+        chain += sum(r.skipped_chain for r in sb.trace)
+    assert total and chain
 
 
 def test_standard_basis_pinned_examples():
@@ -305,6 +307,38 @@ def test_coprime_leads_are_skipped():
     assert any(record.skipped_coprime for record in sb.trace)
 
 
+def _skips(sb):
+    """(pairs formed, chain skips, coprime skips) of a completion."""
+    return (len(sb.trace), sum(r.skipped_chain for r in sb.trace),
+            sum(r.skipped_coprime for r in sb.trace))
+
+
+# Initial terms x^2*z, y*z, x*y: see the first case below.
+CHAIN_KEEPS_QUEUED = [X3 ** 2 * Z3 - 2 * X3 * Y3 ** 2 * Z3,
+                      Y3 * Z3 + X3 ** 2 * Y3 - Y3 ** 4,
+                      X3 * Y3 + 2 * Y3 ** 3 + X3 * Y3 * Z3]
+
+
+def test_pair_criteria_pinned_examples():
+    # When x*y enters, the queued pair (x^2*z, y*z) has the lcm x^2*y*z,
+    # which x*y divides; lcm(x^2*z, x*y) equals it, so the pair stays. The
+    # new pair (x^2*z, x*y) is dropped, since lcm(y*z, x*y) = x*y*z
+    # properly divides its lcm. Dropping the queued pair too loses y^8.
+    sb = standard_basis(CHAIN_KEEPS_QUEUED)
+    assert sb.diagram.vertices == ((0, 1, 1), (1, 1, 0), (2, 0, 1), (0, 8, 0))
+    assert _skips(sb) == (6, 1, 1)
+    assert sb.diagram == truncated_diagram(CHAIN_KEEPS_QUEUED, 12)
+    # Initial terms x*y, x*z, y*z: every pair has the lcm x*y*z. When y*z
+    # enters, the queued pair (x*y, x*z) stays, and of the two new pairs of
+    # equal lcm one is kept. Dropping both, as if equal lcms divided each
+    # other properly, loses x^4.
+    gens = [X3 * Y3, X3 * Z3 - X3 * Y3 * Z3 - X3 * Y3 ** 3, Y3 * Z3 + X3 ** 3]
+    sb = standard_basis(gens)
+    assert sb.diagram.vertices == ((0, 1, 1), (1, 0, 1), (1, 1, 0), (4, 0, 0))
+    assert _skips(sb) == (6, 1, 1)
+    assert sb.diagram == truncated_diagram(gens, 12)
+
+
 def test_every_spair_of_the_basis_reduces_to_zero():
     rng = random.Random(203)
     for _ in range(40):
@@ -325,6 +359,35 @@ def test_every_spair_of_the_basis_reduces_to_zero():
                     continue
                 remainder, _ = mora_normal_form(s, list(basis))
                 assert remainder.is_zero
+
+
+def test_every_spair_of_a_capped_weighted_basis_reduces_to_zero():
+    # The same check under weights and a length cap B, modulo the monomials
+    # of length >= B; the pairs the criteria dropped are checked too.
+    rng = random.Random(206)
+    chain = 0
+    for _ in range(40):
+        ring = random_ring(rng, max_weight=3)
+        gens = random_ideal(rng, ring, max_gens=4, max_degree=4)
+        cap = rng.randint(2, 10)
+        sb = standard_basis(gens, length_cap=cap)
+        chain += sum(r.skipped_chain for r in sb.trace)
+        basis = sb.basis
+        for i in range(len(basis)):
+            for j in range(i + 1, len(basis)):
+                a = basis[i].initial_exponent()
+                b = basis[j].initial_exponent()
+                lcm = exp_lcm(a, b)
+                fa = basis[i] * ring.monomial(exp_sub(lcm, a))
+                gb = basis[j] * ring.monomial(exp_sub(lcm, b))
+                s = (fa.scaled(1 / basis[i].initial_coefficient())
+                     - gb.scaled(1 / basis[j].initial_coefficient()))
+                if s.is_zero:
+                    continue
+                remainder, _ = mora_normal_form(s, list(basis),
+                                                length_cap=cap)
+                assert remainder.is_zero
+    assert chain
 
 
 def test_diagram_is_invariant_under_units_and_scaling():
@@ -532,6 +595,34 @@ def test_capped_window_equals_the_oracle_window(ideal, bound, extra, seed):
     wider = standard_basis(gens, ring=ring, length_cap=bound + extra).diagram
     for e in exponents_below(ring.order, bound):
         assert wider.contains(e) == capped.contains(e)
+
+
+@st.composite
+def oracle_ideals(draw):
+    """Two to four generators without constant term in two or three
+    variables, under unit weights or weights in 1..3, and a window bound."""
+    arity = draw(st.integers(2, 3))
+    weights = draw(st.just((1,) * arity)
+                   | st.tuples(*[st.integers(1, 3)] * arity))
+    ring = Ring(tuple("xyz")[:arity], order=Order(weights))
+    exponent = st.tuples(*[st.integers(0, 3)] * arity).filter(any)
+    coeff = st.integers(-3, 3).filter(bool)
+    gens = draw(st.lists(
+        st.lists(st.tuples(exponent, coeff), min_size=1, max_size=3)
+        .map(lambda pairs: Poly.from_terms(ring, pairs)), min_size=2, max_size=4))
+    return ring, gens, draw(st.integers(1, 8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_ideals())
+@example((RING3, CHAIN_KEEPS_QUEUED, 9))
+def test_completions_under_the_pair_criteria_match_the_oracle(ideal):
+    ring, gens, bound = ideal
+    window = truncated_diagram(gens, bound, ring=ring)
+    assert standard_basis(gens, ring=ring, length_cap=bound).diagram == window
+    exact = standard_basis(gens, ring=ring).diagram
+    for e in exponents_below(ring.order, bound):
+        assert exact.contains(e) == window.contains(e), e
 
 
 @st.composite
