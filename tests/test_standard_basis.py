@@ -45,6 +45,8 @@ RING3 = Ring(("x", "y", "z"))
 X3, Y3, Z3 = (RING3.variable(v) for v in "xyz")
 RING212 = Ring(("x", "y", "z"), order=Order((2, 1, 2)))
 X212, Y212, Z212 = (RING212.variable(v) for v in "xyz")
+RING221 = Ring(("x", "y", "z"), order=Order((2, 2, 1)))
+X221, Y221, Z221 = (RING221.variable(v) for v in "xyz")
 
 
 def test_mora_pinned_unit_example():
@@ -616,11 +618,20 @@ def oracle_ideals(draw):
 @settings(max_examples=100, deadline=None)
 @given(oracle_ideals())
 @example((RING3, CHAIN_KEEPS_QUEUED, 9))
+# The y-axis stays outside the staircase, so the uncapped completion ends
+# in the resource error.
+@example((RING221, [Z221 + X221 + Y221 * Z221, Z221 ** 2 + Y221 ** 3 * Z221,
+                    Z221 ** 2 + X221 ** 2], 1))
 def test_completions_under_the_pair_criteria_match_the_oracle(ideal):
     ring, gens, bound = ideal
     window = truncated_diagram(gens, bound, ring=ring)
     assert standard_basis(gens, ring=ring, length_cap=bound).diagram == window
-    exact = standard_basis(gens, ring=ring).diagram
+    try:
+        exact = standard_basis(gens, ring=ring).diagram
+    except WorkBudgetExceeded:
+        # An infinite complement past the work budget ends in the named
+        # resource error, as in test_work_budget_env_and_uncertified_ideals.
+        return
     for e in exponents_below(ring.order, bound):
         assert exact.contains(e) == window.contains(e), e
 
