@@ -4,13 +4,16 @@ A diagram is a subset G of N^m with G + N^m = G; it is determined by its
 minimal elements under the componentwise order, and that antichain is the
 stored data. Diagram queries measure unweighted total length; the exponent
 enumerator, the covering length and `first_difference` take the order whose
-length they use.
+length they use. The complement, the Hilbert-Samuel counts and the covering
+length come from one walk over the complement, which visits no point of the
+diagram but the first one inside along each axis.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations, product
-from typing import Iterable
+from itertools import accumulate, combinations
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from .core import Exponent, Order, _as_ints, _Record, exp_divides, total_degree
 
@@ -59,23 +62,55 @@ def axis_powers(exps: Iterable[Exponent], arity: int) -> list[int | None]:
     return powers
 
 
+def _complement(exps: Sequence[Exponent], weights: tuple[int, ...],
+                bound: int | None) -> list[tuple[Exponent, int]]:
+    """The exponents outside the staircase of exps, each with its weighted
+    length, lexicographically ascending: those shorter than bound, or all of
+    them for bound None, which needs a finite complement.
+
+    The complement is a down-set, so the walk extends points one axis at a
+    time and stops along each axis at the first point inside; it visits no
+    other point inside. Extending an outside prefix p (axes before i) by k
+    on axis i lands inside exactly when an exponent that divides p, and is
+    zero past axis i, has entry i at most k. Each point carries the
+    exponents that divide its prefix.
+    """
+    if bound is not None and bound <= 0 or not all(map(any, exps)):
+        return []  # no length fits, or the origin is inside
+    # Each exponent with the index of its last nonzero entry.
+    rows = [((), 0, [(v, max(j for j, x in enumerate(v) if x))
+                     for v in exps])]
+    final = len(weights) - 1
+    for i, w in enumerate(weights):
+        grown = []
+        for e, n, vs in rows:
+            stop = min((v[i] for v, last in vs if last <= i), default=None)
+            if bound is not None:
+                fits = (bound - 1 - n) // w + 1
+                stop = fits if stop is None else min(stop, fits)
+            if i == final:
+                grown += [(e + (k,), n + w * k) for k in range(stop)]
+            else:
+                grown += [(e + (k,), n + w * k,
+                           [p for p in vs if p[0][i] <= k])
+                          for k in range(stop)]
+        rows = grown
+    return rows if weights else [((), 0)]
+
+
 def covering_length(exps: Iterable[Exponent], order: Order) -> int | None:
     """Least L with every exponent of length >= L in the staircase of exps.
 
     Lengths are measured by the order. Returns None when some axis has no
     pure power among the exponents, i.e. when the staircase complement is
-    infinite. Otherwise the complement lies in the box below the smallest
-    pure powers, and L is one past the longest complement point there.
+    infinite. Otherwise L is one past the longest point of the complement,
+    which one walk over the complement finds.
     """
     exps = list(exps)
-    powers = axis_powers(exps, order.arity)
-    if None in powers:
+    if None in axis_powers(exps, order.arity):
         return None
-    cap = 0
-    for point in product(*(range(p) for p in powers)):
-        if not any(exp_divides(v, point) for v in exps):
-            cap = max(cap, order.length(point) + 1)
-    return cap
+    return max((n + 1 for _, n in _complement(exps, order.weights, None)),
+               default=0)
 
 
 class Diagram(_Record):
@@ -131,20 +166,20 @@ class Diagram(_Record):
 
     def complement_upto(self, bound: int) -> list[Exponent]:
         """Exponents outside the diagram of length <= bound, order ascending."""
-        return [e for e in exponents_upto(self.arity, bound) if not self.contains(e)]
+        # Sorting the lexicographic walk stably by length gives the order.
+        rows = _complement(self.vertices, (1,) * self.arity, bound + 1)
+        return [e for e, _ in sorted(rows, key=itemgetter(1))]
 
     def hilbert_vector(self, bound: int) -> list[int]:
         """[hilbert_samuel(k) for k in range(bound + 1)] from one enumeration."""
         counts = [0] * (bound + 1)
-        for e in self.complement_upto(bound):
-            counts[total_degree(e)] += 1
+        for _, n in _complement(self.vertices, (1,) * self.arity, bound + 1):
+            counts[n] += 1
         return list(accumulate(counts))
 
     def hilbert_samuel(self, k: int) -> int:
         """Number of complement exponents of length at most k."""
-        if k < 0:
-            return 0
-        return self.hilbert_vector(k)[k]
+        return len(_complement(self.vertices, (1,) * self.arity, k + 1))
 
     def quotient_dimension(self) -> int:
         """Krull dimension of the monomial quotient attached to the diagram.

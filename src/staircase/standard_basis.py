@@ -45,6 +45,12 @@ Mora's loop and the s-polynomials read and build the packed form that `Poly`
 stores (see `core`), and the cap is a bisection on its keys. A step forms
 a*h - b*x^s*g with integer a and b that cancel the initial term, divides out
 the content with one gcd, and folds a and the content into the scale. The
+loop keeps the scale as a reduced integer pair (numerator, denominator),
+with one gcd per step, and builds a Fraction only for the remainder. The
+work budget measures the terms times the bits of the reduced initial
+coefficient, which one more gcd gives. Each step is logged as its reducer's
+label, its packed shift and the integer numerator and denominator of its
+coefficient; the trace builds MoraSteps from that log on first read. The
 values are exact throughout, so remainders, traces and the work budget's
 measure are those of the same steps in Fraction arithmetic.
 """
@@ -148,8 +154,11 @@ class MoraTrace(_Record):
     `pooled_at[k]` is the index of the step at which the intermediate result
     p_k joined the reducer pool. `unit` is the unit u of the local ring with
     u*f - remainder in the ideal generated by the reducers; it stays 1 unless
-    intermediate results were used as reducers, and it is rebuilt from the
-    recorded steps on first access. Traces are immutable values.
+    intermediate results were used as reducers. Mora logs each step as its
+    reducer's label, the packed shift and the coefficient's numerator and
+    denominator; `steps` builds the MoraSteps from that log on first read,
+    and `unit` builds from `steps`, so a caller that only counts steps
+    builds neither. Traces are immutable values.
     """
 
     _fields = ("ring", "steps", "pooled_at")
@@ -157,6 +166,20 @@ class MoraTrace(_Record):
     def __init__(self, ring: Ring, steps: tuple[MoraStep, ...],
                  pooled_at: tuple[int, ...]):
         self._set(ring=ring, steps=steps, pooled_at=pooled_at)
+
+    @classmethod
+    def _logged(cls, ring: Ring, log: tuple[tuple[str, int, int, int], ...],
+                pooled_at: tuple[int, ...]) -> "MoraTrace":
+        """The trace of Mora's log, whose steps are built on first read."""
+        trace = cls.__new__(cls)
+        trace._set(ring=ring, _log=log, pooled_at=pooled_at)
+        return trace
+
+    @cached_property
+    def steps(self) -> tuple[MoraStep, ...]:
+        unpack = self.ring.order.unpack
+        return tuple(MoraStep(label, unpack(shift), Fraction(num, den))
+                     for label, shift, num, den in self._log)
 
     @property
     def pool_added(self) -> int:
@@ -202,8 +225,9 @@ def _cut(order: Order, keys: list[int], bound: int, shift: int,
          cap: int | None) -> tuple[int, int]:
     """The end of the prefix of keys that x^shift moves below the length cap
     (all of keys without a cap), and `_reach` of that shifted prefix from
-    `bound`, the sum of the keys' entry bound and the shift's largest entry.
-    Terms ascend length-first, so the terms below the cap are a prefix."""
+    `bound`, the sum of the keys' entry bound and a bound on the shift's
+    entries. Terms ascend length-first, so the terms below the cap are a
+    prefix."""
     end = len(keys)
     if cap is not None:
         # Packed keys carry the weighted length above `low` bits of exponent
@@ -248,24 +272,25 @@ def mora_normal_form(
     budget = (None if length_cap is not None else
               _resolve_limit(WORK_BUDGET_ENV, DEFAULT_WORK_BUDGET))
     order = ring.order
-    unpack = order.unpack
     # Packed keys carry the weighted length above `low` bits of exponent
     # fields, which the ecarts read.
     low = FIELD_BITS * ring.arity
     guards = _guards(ring.arity)
-    # A pool entry is (ecart, initial key, position, label, keys, ints, scale,
-    # top): the polynomial is scale * sum(ints[i] * x^keys[i]), and top bounds
-    # its exponent entries. The first three fields lead so that the least
-    # entry is Mora's choice: least ecart, then least initial key, then the
-    # earliest. Positions are unique, so no comparison reaches the lists.
+    # A pool entry is (ecart, initial key, position, label, keys, ints, sn,
+    # sd, top): the polynomial is sn/sd * sum(ints[i] * x^keys[i]), and top
+    # bounds its exponent entries. The first three fields lead so that the
+    # least entry is Mora's choice: least ecart, then least initial key, then
+    # the earliest. Positions are unique, so no comparison reaches the lists.
     pool = [((g.keys[-1] >> low) - (g.keys[0] >> low), g.keys[0], i, f"r{i}",
-             g.keys, g.ints, g.scale, g.top) for i, g in enumerate(reducers)]
+             g.keys, g.ints, g.scale.numerator, g.scale.denominator, g.top)
+            for i, g in enumerate(reducers)]
     keys, ints, scale, top = f.keys, f.ints, f.scale, f.top
     end, top = _cut(order, keys, top, 0, length_cap)
     if end < len(keys):
         ints, content = _primitive(ints[:end])
         keys, scale = keys[:end], scale * content
-    steps: list[MoraStep] = []
+    sn, sd = scale.numerator, scale.denominator
+    log: list[tuple[str, int, int, int]] = []
     pooled_at: list[int] = []
     while keys:
         lead = keys[0]
@@ -277,41 +302,42 @@ def mora_normal_form(
                 chosen = entry
         if chosen is None:
             break
-        g_ecart, g_lead, _, label, g_keys, g_ints, gs, g_top = chosen
+        g_ecart, g_lead, _, label, g_keys, g_ints, gn, gd, g_top = chosen
         h_ecart = (keys[-1] >> low) - (lead >> low)
         if g_ecart > h_ecart:
             if len(pool) >= ceiling:
                 raise PoolLimitExceeded(ceiling)
             pool.append((h_ecart, lead, len(pool), f"p{len(pooled_at)}",
-                         keys, ints, scale, top))
-            pooled_at.append(len(steps))
+                         keys, ints, sn, sd, top))
+            pooled_at.append(len(log))
         shift = lead - g_lead
-        shift_exp = unpack(shift)
-        end, reach = _cut(order, g_keys, g_top + max(shift_exp), shift,
+        # The shift's weighted length bounds its entries.
+        end, reach = _cut(order, g_keys, g_top + (shift >> low), shift,
                           length_cap)
         top = max(top, reach)
         hc0, gc0 = ints[0], g_ints[0]
-        steps.append(MoraStep(label, shift_exp, Fraction(
-            scale.numerator * hc0 * gs.denominator,
-            scale.denominator * gc0 * gs.numerator)))
-        # h = (scale/a) * (a*h' - b*x^shift*g'), where h' and g' are the
+        log.append((label, shift, sn * hc0 * gd, sd * gc0 * gn))
+        # h = (sn/sd/a) * (a*h' - b*x^shift*g'), where h' and g' are the
         # integer parts: a*hc0 = b*gc0 cancels the initial term.
         d = gcd(hc0, gc0)
         a, b = gc0 // d, hc0 // d
         keys, ints = _merge(keys, ints, a, g_keys, g_ints, b, shift, end)
         ints, content = _primitive(ints)
-        scale = Fraction(scale.numerator * content, scale.denominator * a)
+        sn, sd = sn * content, sd * a
+        d = gcd(sn, sd)
+        sn, sd = sn // d, sd // d
         if budget is not None and ints:
-            c = Fraction(scale.numerator * ints[0], scale.denominator)
-            size = len(ints) * (c.numerator.bit_length()
-                                + c.denominator.bit_length())
+            n = sn * ints[0]
+            d = gcd(n, sd)
+            size = len(ints) * ((n // d).bit_length()
+                                + (sd // d).bit_length())
             if size > budget:
                 raise WorkBudgetExceeded(budget)
-    remainder = Poly._of(ring, keys, ints, scale, top)
+    remainder = Poly._of(ring, keys, ints, Fraction(sn, sd), top)
     assert remainder.is_zero or all(
         ((keys[0] | guards) - entry[1]) & guards != guards
         for entry in pool)
-    return remainder, MoraTrace(ring, tuple(steps), tuple(pooled_at))
+    return remainder, MoraTrace._logged(ring, tuple(log), tuple(pooled_at))
 
 
 class SPairRecord(NamedTuple):
@@ -493,13 +519,13 @@ def _complete(gens: list[Poly], ring: Ring, length_cap: int | None) -> SBasis:
             continue
         remainder, trace = mora_normal_form(s, basis, length_cap=cap)
         if remainder.is_zero:
-            records.append(SPairRecord(len(trace.steps), True, None))
+            records.append(SPairRecord(len(trace._log), True, None))
             continue
         remainder = remainder.content_normalized()
         basis.append(remainder)
         inexps.append(remainder.initial_exponent())
         new_index = len(basis) - 1
-        records.append(SPairRecord(len(trace.steps), False, new_index))
+        records.append(SPairRecord(len(trace._log), False, new_index))
         enter(new_index)
         cap = window_cap()
     diagram = Diagram.from_exponents(inexps, arity=ring.arity)

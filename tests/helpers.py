@@ -1,5 +1,6 @@
 """Seeded random data and checks shared across the test files."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -103,3 +104,23 @@ def is_canonical(p: Poly) -> bool:
             and all(p.ints) and math.gcd(*p.ints) in (0, 1)
             and p.scale > 0 and (p.keys or p.scale == 1)
             and all(max(e) <= p.top for e in exps))
+
+
+def box_covering_length(exps, order: Order):
+    """The covering length by a scan of the whole box below the least pure
+    powers: one past the longest exponent there that no exponent of exps
+    divides, None when some axis has no pure power (the zero exponent is a
+    pure power of every axis)."""
+    exps = [tuple(e) for e in exps]
+    powers = []
+    for i in range(order.arity):
+        pure = [e[i] for e in exps
+                if all(x == 0 for j, x in enumerate(e) if j != i)]
+        if not pure:
+            return None
+        powers.append(min(pure))
+    cap = 0
+    for point in itertools.product(*(range(p) for p in powers)):
+        if not any(all(a <= b for a, b in zip(v, point)) for v in exps):
+            cap = max(cap, order.length(point) + 1)
+    return cap

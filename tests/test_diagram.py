@@ -13,6 +13,7 @@ from staircase import (
     exponents_upto,
 )
 from staircase.diagram import axis_powers, covering_length, first_difference
+from helpers import box_covering_length
 
 
 def test_enumerators_are_ordered():
@@ -183,6 +184,42 @@ def test_hilbert_vector_matches_pointwise_counts():
         vector = d.hilbert_vector(k)
         assert vector == [d.hilbert_samuel(j) for j in range(k + 1)]
         assert vector == [len(d.complement_upto(j)) for j in range(k + 1)]
+
+
+def test_complement_walk_matches_brute_force():
+    # The walk serves complement_upto, hilbert_samuel and covering_length;
+    # here each is held to a full enumeration instead.
+    rng = random.Random(421)
+    finite = infinite = 0
+    for case in range(300):
+        arity = rng.randint(1, 4)
+        order = Order(tuple(rng.randint(1, 3) for _ in range(arity)))
+        exps = [tuple(rng.randint(0, 4) for _ in range(arity))
+                for _ in range(rng.randint(0, 5))]
+        if case % 2:  # pure powers of every axis: a finite complement
+            exps += [tuple(rng.randint(1, 4) if j == i else 0
+                           for j in range(arity)) for i in range(arity)]
+        if case % 7 == 0:
+            exps.append((0,) * arity)
+        exps += [tuple(x + rng.randint(0, 2) for x in e)  # non-minimal
+                 for e in rng.sample(exps, min(2, len(exps)))]
+        exps += rng.sample(exps, min(2, len(exps)))  # duplicates
+        rng.shuffle(exps)
+        d = Diagram.from_exponents(exps, arity=arity)
+        bound = rng.randint(-1, 12 if arity < 4 else 8)
+        outside = [e for e in exponents_upto(arity, bound) if not d.contains(e)]
+        assert d.complement_upto(bound) == outside
+        assert d.hilbert_samuel(bound) == len(outside)
+        assert d.hilbert_vector(bound) == [
+            sum(sum(e) <= k for e in outside) for k in range(bound + 1)]
+        length = covering_length(exps, order)
+        assert length == box_covering_length(exps, order)
+        assert length == covering_length(d.vertices, order)
+        finite += length is not None
+        infinite += length is None and d.quotient_dimension() > 0
+    assert finite > 100 and infinite > 50
+    assert covering_length([], Order((1, 2))) is None
+    assert Diagram(3, ()).complement_upto(1) == exponents_upto(3, 1)
 
 
 def test_equal_upto():

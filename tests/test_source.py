@@ -203,3 +203,23 @@ def test_the_completion_has_no_off_switch():
         "gens", "ring", "length_cap"]
     assert list(inspect.signature(module.standard_basis).parameters) == [
         "gens", "ring", "length_cap"]
+
+
+def test_the_hot_paths_build_nothing_their_callers_do_not_read():
+    # Mora's loop keeps its scale and its log in integers: the Fractions,
+    # MoraSteps and unpacked shifts of the trace are built on first read.
+    tree = ast.parse((ROOT / "src" / "staircase" / "standard_basis.py")
+                     .read_text())
+    mora = next(f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                and f.name == "mora_normal_form")
+    loops = [n for n in ast.walk(mora) if isinstance(n, ast.While)]
+    assert len(loops) == 1
+    used = {getattr(n, "id", getattr(n, "attr", None))
+            for n in ast.walk(loops[0])}
+    assert used & {"Fraction", "MoraStep", "unpack", "unpack_all"} == set()
+    # The diagram queries walk the complement instead of scanning a box.
+    diagram = ast.parse((ROOT / "src" / "staircase" / "diagram.py")
+                        .read_text())
+    imported = {a.name for n in ast.walk(diagram)
+                if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    assert "product" not in imported

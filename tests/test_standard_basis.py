@@ -70,6 +70,36 @@ def test_mora_pinned_unit_along_a_pool_chain():
     assert [step.reducer for step in trace.steps] == ["r0", "p0", "p0", "p1"]
 
 
+def test_mora_trace_builds_its_steps_on_first_read():
+    # The pinned examples above, with their steps written out: the trace
+    # Mora returns equals, hashes and prints as one built from these steps.
+    one = Fraction(1)
+    for f, reducers, steps, pooled_at, unit in [
+            (X ** 2, [X - X ** 2],
+             [("r0", (1, 0), one), ("p0", (1, 0), one)], (0,), 1 - X),
+            (X, [X - X ** 2],
+             [("r0", (0, 0), one), ("p0", (1, 0), one)], (0,), 1 - X),
+            (-X * Y - X ** 2 * Y, [-1 - 4 * X ** 2],
+             [("r0", (1, 1), one), ("p0", (1, 0), one),
+              ("p0", (2, 0), Fraction(-5)), ("p1", (1, 0), -one)],
+             (0, 2), 1 + 4 * X ** 2)]:
+        _, trace = mora_normal_form(f, reducers)
+        assert "steps" not in vars(trace)
+        pinned = MoraTrace(RING, tuple(MoraStep(*s) for s in steps),
+                           pooled_at)
+        assert trace == pinned and hash(trace) == hash(pinned)
+        assert "steps" in vars(trace)
+        assert trace.steps == pinned.steps
+        assert all(type(s.shift) is tuple and type(s.coeff) is Fraction
+                   for s in trace.steps)
+        assert trace.unit == pinned.unit == unit
+        assert repr(trace) == repr(pinned)
+        # Built, it stays an immutable value.
+        with pytest.raises(AttributeError):
+            trace.steps = ()
+        assert trace == pinned and hash(trace) == hash(pinned)
+
+
 def test_mora_picks_the_least_ecart_then_initial_key_then_earliest():
     # The first step's reducer: equal candidates go to the earliest, equal
     # ecarts to the smaller initial key (y comes before x), and a smaller
@@ -255,29 +285,34 @@ def test_standard_basis_calls_mora_once_per_reduced_spair(monkeypatch):
     # perfbench counts Mora calls by wrapping the module's name, so the
     # completion must reach Mora through it for every s-pair it reduces:
     # all but the coprime and chain skips and the s-polynomials that vanish.
+    # Each record's step count is that of its Mora call's trace.
     module = importlib.import_module("staircase.standard_basis")
     original = module.mora_normal_form
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+        result = original(*args, **kwargs)
+        calls.append(len(result[1].steps))
+        return result
 
     monkeypatch.setattr(module, "mora_normal_form", counting)
     rng = random.Random(210)
-    total = chain = 0
-    for _ in range(40):
-        ring = random_ring(rng)
-        gens = random_ideal(rng, ring, max_degree=4)
+    ideals = [random_ideal(rng, random_ring(rng), max_degree=4)
+              for _ in range(40)]
+    # Its two added elements are remainders of two steps and of one.
+    ideals.append([X ** 3 + X * Y ** 2 + Y ** 4, X ** 2 * Y + Y ** 3 + X ** 4])
+    total = chain = added_steps = 0
+    for gens in ideals:
         calls.clear()
         sb = standard_basis(gens)
         reduced = [r for r in sb.trace
                    if not r.skipped_coprime and not r.skipped_chain
                    and not (r.steps == 0 and r.reduced_to_zero)]
-        assert len(calls) == len(reduced)
+        assert calls == [r.steps for r in reduced]
         total += len(calls)
         chain += sum(r.skipped_chain for r in sb.trace)
-    assert total and chain
+        added_steps += sum(r.steps for r in reduced if not r.reduced_to_zero)
+    assert total and chain and added_steps
 
 
 def test_standard_basis_pinned_examples():
@@ -473,6 +508,20 @@ def test_mora_treadmill_ends_in_the_work_budget(monkeypatch):
     # A length cap bounds the series, and the budget does not apply.
     monkeypatch.setenv("STAIRCASE_WORK_BUDGET", "0")
     mora_normal_form(f, reducers, length_cap=6)
+
+
+def test_work_budget_measures_the_reduced_initial_coefficient(monkeypatch):
+    # The largest intermediate result comes at the fifth step: two terms
+    # with initial coefficient -48/3 = -16, of size 2 * (5 + 1) = 12 bits.
+    # Unreduced it would measure 2 * (6 + 2) = 16 and breach a budget of 12.
+    f, reducers = X * Y + 2 * X * Y ** 2, [Y - Fraction(1, 3) * X * Y ** 3]
+    monkeypatch.setenv("STAIRCASE_WORK_BUDGET", "12")
+    remainder, trace = mora_normal_form(f, reducers)
+    assert remainder.is_zero and len(trace.steps) == 6
+    assert trace.unit == 1 - Fraction(1, 3) * X * Y ** 2
+    monkeypatch.setenv("STAIRCASE_WORK_BUDGET", "11")
+    with pytest.raises(WorkBudgetExceeded):
+        mora_normal_form(f, reducers)
 
 
 def test_work_budget_env_and_uncertified_ideals(monkeypatch):
