@@ -493,11 +493,13 @@ def _file_report(args, command):
 
 
 def _compute(args, command, ring, name, item):
+    kind = command.over[:-1]  # "ideals" -> "ideal", "maps" -> "map"
     try:
         return {"name": name, **command.compute(args, ring, item)}
     except PoolLimitExceeded as exc:
-        kind = command.over[:-1]  # "ideals" -> "ideal", "maps" -> "map"
         raise _ResourceError(f"{kind} {name}: {exc}") from exc
+    except ValueError as exc:  # an exponent past the packed field, say
+        raise ValueError(f"{kind} {name}: {exc}") from exc
 
 
 def _dispatch(args):

@@ -17,8 +17,11 @@ polynomials store equal fields. Sums, differences and Mora's steps run on
 one merge, a*h - b*x^s*g with integer a and b; a product multiplies the
 integer parts, which stay coprime by Gauss's lemma. Every exponent entry must
 stay below FIELD_LIMIT (2^31): an entry past it is refused with ValueError
-when the polynomial is built, never wrapped. `Poly.terms` lists the
-(exponent, Fraction) pairs, built on first read.
+when the polynomial is built, never wrapped. Weights are at least 1, so a
+term's weighted length, read off its key, bounds its entries: a product or
+a shift is unpacked to check them only when its longest term's length
+reaches FIELD_LIMIT. `Poly.terms` lists the (exponent, Fraction) pairs,
+built on first read.
 
 Every value here is immutable: `Poly` guards itself, and the record classes
 share their value semantics through `_Record`. Floats are rejected outright,
@@ -88,16 +91,17 @@ def _fits(entry: int) -> int:
     return entry
 
 
-def _reach(order: "Order", bound: int, keys: list[int], shift: int,
-           end: int) -> int:
-    """A bound on the exponent entries of x^shift * x^keys[i] for i < end:
-    `bound`, the sum of the factors' bounds, while it fits a field, else the
-    largest entry, refused if it does not fit. The sum is loose when the
-    factors peak in different variables; a field sum unpacks whole."""
-    if bound < FIELD_LIMIT:
-        return bound
-    shifted = [k + shift for k in keys[:end]]
-    return _fits(max(map(max, order.unpack_all(shifted)), default=0))
+def _reach(order: "Order", keys: list[int], shift: int, end: int) -> None:
+    """Refuse with ValueError an exponent entry of x^shift * x^keys[i], for
+    i < end, that does not fit a packed field. The fields of two valid keys
+    stay below 2^31, so their sum carries nothing from one field into the
+    next, and its top field is the exact weighted length of the product.
+    Weights are at least 1, so that length bounds every entry: only when the
+    longest shifted term reaches FIELD_LIMIT is the prefix unpacked."""
+    low = FIELD_BITS * order.arity
+    if end and (keys[end - 1] + shift) >> low >= FIELD_LIMIT:
+        shifted = [k + shift for k in keys[:end]]
+        _fits(max(map(max, order.unpack_all(shifted))))
 
 
 def total_degree(exp: Exponent) -> int:
@@ -256,7 +260,7 @@ class Ring(_Record):
             raise ValueError(f"unknown variable {name!r}") from None
 
     def zero(self) -> "Poly":
-        return Poly(self, [], [], _ONE, 0)
+        return Poly(self, [], [], _ONE)
 
     def constant(self, value) -> "Poly":
         return self.monomial((0,) * self.arity, value)
@@ -317,32 +321,29 @@ class Poly:
     """Immutable sparse polynomial scale * sum(ints[i] * x^e_i).
 
     `keys[i]` is `Order.pack` of e_i, strictly ascending in the ring's order,
-    the `ints` are nonzero and coprime, `scale` is a positive Fraction, and
-    `top` bounds every exponent entry below FIELD_LIMIT: `from_terms` sets
-    the largest entry, and arithmetic keeps a bound that cancellations and
-    products may leave loose. It is not part of the value, so equality and
-    hashing skip it. Zero has no keys and the scale 1. Callers must not
-    mutate the lists.
+    the `ints` are nonzero and coprime, and `scale` is a positive Fraction.
+    Every exponent entry is below FIELD_LIMIT; a product checks this on its
+    keys' weighted lengths (see `_reach`). Zero has no keys and the scale 1.
+    Callers must not mutate the lists.
     """
 
-    __slots__ = ("ring", "keys", "ints", "scale", "top", "_terms")
+    __slots__ = ("ring", "keys", "ints", "scale", "_terms")
 
     def __init__(self, ring: Ring, keys: list[int], ints: list[int],
-                 scale: Fraction, top: int):
+                 scale: Fraction):
         # Trusted constructor: the fields must already be canonical. Build
         # with Poly.from_terms, the Ring helpers or Poly._of otherwise.
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "ints", ints)
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "top", top)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     @staticmethod
-    def _of(ring: Ring, keys: list[int], ints: list[int], scale: Fraction,
-            top: int) -> "Poly":
+    def _of(ring: Ring, keys: list[int], ints: list[int],
+            scale: Fraction) -> "Poly":
         """The canonical form of scale * sum(ints[i] * x^keys[i]), for
         strictly ascending keys and nonzero ints: the content and the sign
         of scale move from the ints into the scale."""
@@ -354,24 +355,22 @@ class Poly:
         if content != 1:
             ints = [c // content for c in ints]
             scale = scale * content
-        return Poly(ring, keys, ints, scale, top)
+        return Poly(ring, keys, ints, scale)
 
     @staticmethod
     def from_terms(ring: Ring, pairs: Iterable[tuple[Exponent, object]]) -> "Poly":
         acc: dict[int, Fraction] = {}
         pack = ring.order.pack
-        top = 0
         for exp, coeff in pairs:
             exp = _as_ints(exp, "exponents")
             key = pack(exp)
             c = _as_fraction(coeff)
             if c:
                 acc[key] = acc.get(key, _ZERO) + c
-                top = max(top, *exp)
         keys = sorted(k for k, c in acc.items() if c)
         den = math.lcm(*(acc[k].denominator for k in keys))
         ints = [acc[k].numerator * (den // acc[k].denominator) for k in keys]
-        return Poly._of(ring, keys, ints, Fraction(1, den), top)
+        return Poly._of(ring, keys, ints, Fraction(1, den))
 
     # ------------------------------------------------------------------
     # inspection
@@ -435,8 +434,7 @@ class Poly:
         r = self.scale / o.scale
         keys, ints = _merge(self.keys, self.ints, r.numerator,
                             o.keys, o.ints, -r.denominator, 0, len(o.keys))
-        return Poly._of(self.ring, keys, ints, o.scale / r.denominator,
-                        max(self.top, o.top))
+        return Poly._of(self.ring, keys, ints, o.scale / r.denominator)
 
     __radd__ = __add__
 
@@ -453,15 +451,14 @@ class Poly:
         return o + -self
 
     def __neg__(self):
-        return Poly(self.ring, self.keys, [-c for c in self.ints], self.scale,
-                    self.top)
+        return Poly(self.ring, self.keys, [-c for c in self.ints], self.scale)
 
     def scaled(self, factor) -> "Poly":
         c = _as_fraction(factor)
         if not c or not self.keys:
             return self.ring.zero()
         ints = self.ints if c > 0 else [-v for v in self.ints]
-        return Poly(self.ring, self.keys, ints, self.scale * abs(c), self.top)
+        return Poly(self.ring, self.keys, ints, self.scale * abs(c))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -478,10 +475,10 @@ class Poly:
                 k = ka + kb
                 acc[k] = get(k, 0) + ca * cb
         keys = sorted(k for k, c in acc.items() if c)
-        top = _reach(self.ring.order, self.top + o.top, keys, 0, len(keys))
+        _reach(self.ring.order, keys, 0, len(keys))
         # The integer parts are primitive, so their product is too.
         return Poly(self.ring, keys, [acc[k] for k in keys],
-                    self.scale * o.scale, top)
+                    self.scale * o.scale)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -506,7 +503,7 @@ class Poly:
         if not self.keys or (self.scale == 1 and self.ints[0] > 0):
             return self
         ints = self.ints if self.ints[0] > 0 else [-c for c in self.ints]
-        return Poly(self.ring, self.keys, ints, _ONE, self.top)
+        return Poly(self.ring, self.keys, ints, _ONE)
 
     # ------------------------------------------------------------------
     # jets, evaluation, coordinate changes
@@ -518,7 +515,7 @@ class Poly:
         exps = self.ring.order.unpack_all(self.keys)
         kept = [i for i, e in enumerate(exps) if sum(e) <= mu]
         return Poly._of(self.ring, [self.keys[i] for i in kept],
-                        [self.ints[i] for i in kept], self.scale, self.top)
+                        [self.ints[i] for i in kept], self.scale)
 
     def apply_coord_change(self, change: "CoordChange") -> "Poly":
         """Substitute x_i -> sum_j c_ij x_j on every variable."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import Order, Poly, Ring, _Record
+from .core import Order, Poly, Ring, _fits, _Record
 
 if TYPE_CHECKING:
     from .determinacy import MapSpec
@@ -160,16 +160,20 @@ class _PolyParser:
                 index = self.ring.var_index(tok.text)
             except ValueError:
                 self.fail(f"unknown variable {tok.text!r}", tok)
-            power = 1
+            power, last = 1, tok
             nxt = self.peek()
             if nxt.kind == "op" and nxt.text == "^":
                 caret = self.take()
-                num = self.peek()
-                if num.kind != "int":
+                last = self.peek()
+                if last.kind != "int":
                     self.fail("missing exponent after '^'", caret)
                 self.take()
-                power = int(num.text)
+                power = int(last.text)
             exp[index] += power
+            try:
+                _fits(exp[index])
+            except ValueError as exc:
+                self.fail(str(exc), last)
             nxt = self.peek()
             if nxt.kind == "op" and nxt.text == "*":
                 after = self.tokens[self.pos + 1]

@@ -221,20 +221,19 @@ def _guards(arity: int) -> int:
     return sum(FIELD_LIMIT << (FIELD_BITS * i) for i in range(arity))
 
 
-def _cut(order: Order, keys: list[int], bound: int, shift: int,
-         cap: int | None) -> tuple[int, int]:
+def _cut(order: Order, keys: list[int], shift: int, cap: int | None) -> int:
     """The end of the prefix of keys that x^shift moves below the length cap
-    (all of keys without a cap), and `_reach` of that shifted prefix from
-    `bound`, the sum of the keys' entry bound and a bound on the shift's
-    entries. Terms ascend length-first, so the terms below the cap are a
-    prefix."""
+    (all of keys without a cap). Terms ascend length-first, so the terms
+    below the cap are a prefix; `_reach` refuses an exponent entry of the
+    shifted prefix that does not fit, read off its longest term's length."""
     end = len(keys)
     if cap is not None:
         # Packed keys carry the weighted length above `low` bits of exponent
         # fields, so a key below B << low is a term shorter than B.
         low = FIELD_BITS * order.arity
         end = bisect_left(keys, (cap - (shift >> low)) << low)
-    return end, _reach(order, bound, keys, shift, end)
+    _reach(order, keys, shift, end)
+    return end
 
 
 def mora_normal_form(
@@ -277,15 +276,16 @@ def mora_normal_form(
     low = FIELD_BITS * ring.arity
     guards = _guards(ring.arity)
     # A pool entry is (ecart, initial key, position, label, keys, ints, sn,
-    # sd, top): the polynomial is sn/sd * sum(ints[i] * x^keys[i]), and top
-    # bounds its exponent entries. The first three fields lead so that the
-    # least entry is Mora's choice: least ecart, then least initial key, then
-    # the earliest. Positions are unique, so no comparison reaches the lists.
+    # sd): the polynomial is sn/sd * sum(ints[i] * x^keys[i]). The first
+    # three fields lead so that the least entry is Mora's choice: least
+    # ecart, then least initial key, then the earliest. Positions are
+    # unique, so no comparison reaches the lists. Each step's `_cut` refuses
+    # exponent entries past the field, read off the shifted terms' lengths.
     pool = [((g.keys[-1] >> low) - (g.keys[0] >> low), g.keys[0], i, f"r{i}",
-             g.keys, g.ints, g.scale.numerator, g.scale.denominator, g.top)
+             g.keys, g.ints, g.scale.numerator, g.scale.denominator)
             for i, g in enumerate(reducers)]
-    keys, ints, scale, top = f.keys, f.ints, f.scale, f.top
-    end, top = _cut(order, keys, top, 0, length_cap)
+    keys, ints, scale = f.keys, f.ints, f.scale
+    end = _cut(order, keys, 0, length_cap)
     if end < len(keys):
         ints, content = _primitive(ints[:end])
         keys, scale = keys[:end], scale * content
@@ -302,19 +302,16 @@ def mora_normal_form(
                 chosen = entry
         if chosen is None:
             break
-        g_ecart, g_lead, _, label, g_keys, g_ints, gn, gd, g_top = chosen
+        g_ecart, g_lead, _, label, g_keys, g_ints, gn, gd = chosen
         h_ecart = (keys[-1] >> low) - (lead >> low)
         if g_ecart > h_ecart:
             if len(pool) >= ceiling:
                 raise PoolLimitExceeded(ceiling)
             pool.append((h_ecart, lead, len(pool), f"p{len(pooled_at)}",
-                         keys, ints, sn, sd, top))
+                         keys, ints, sn, sd))
             pooled_at.append(len(log))
         shift = lead - g_lead
-        # The shift's weighted length bounds its entries.
-        end, reach = _cut(order, g_keys, g_top + (shift >> low), shift,
-                          length_cap)
-        top = max(top, reach)
+        end = _cut(order, g_keys, shift, length_cap)
         hc0, gc0 = ints[0], g_ints[0]
         log.append((label, shift, sn * hc0 * gd, sd * gc0 * gn))
         # h = (sn/sd/a) * (a*h' - b*x^shift*g'), where h' and g' are the
@@ -333,7 +330,7 @@ def mora_normal_form(
                                 + (sd // d).bit_length())
             if size > budget:
                 raise WorkBudgetExceeded(budget)
-    remainder = Poly._of(ring, keys, ints, Fraction(sn, sd), top)
+    remainder = Poly._of(ring, keys, ints, Fraction(sn, sd))
     assert remainder.is_zero or all(
         ((keys[0] | guards) - entry[1]) & guards != guards
         for entry in pool)
@@ -382,16 +379,14 @@ def _spoly(f: Poly, g: Poly, lcm: int, cap: int | None) -> Poly:
     ring, order = f.ring, f.ring.order
     fk, fc, gk, gc = f.keys, f.ints, g.keys, g.ints
     sf, sg = lcm - fk[0], lcm - gk[0]
-    end_f, top_f = _cut(order, fk, f.top + max(order.unpack(sf)), sf, cap)
-    end_g, top_g = _cut(order, gk, g.top + max(order.unpack(sg)), sg, cap)
+    end_f, end_g = _cut(order, fk, sf, cap), _cut(order, gk, sg, cap)
     # x^sf*f/lc(f) - x^sg*g/lc(g) = (a*x^sf*F - b*x^sg*G) / (a*lc(F)), where
     # F and G are the integer parts and a*lc(F) = b*lc(G).
     d = gcd(fc[0], gc[0])
     a, b = gc[0] // d, fc[0] // d
     keys, ints = _merge([k + sf for k in fk[:end_f]], fc[:end_f], a,
                         gk, gc, b, sg, end_g)
-    return Poly._of(ring, keys, ints, Fraction(1, a * fc[0]),
-                    max(top_f, top_g))
+    return Poly._of(ring, keys, ints, Fraction(1, a * fc[0]))
 
 
 def _unit_free(f: Poly) -> Poly:
@@ -458,10 +453,10 @@ def _complete(gens: list[Poly], ring: Ring, length_cap: int | None) -> SBasis:
     """The completion loop of `standard_basis`, capped or under the budget."""
     basis: list[Poly] = []
     for f in gens:
-        end, top = _cut(ring.order, f.keys, f.top, 0, length_cap)
+        end = _cut(ring.order, f.keys, 0, length_cap)
         if end:
-            basis.append(Poly._of(ring, f.keys[:end], f.ints[:end], f.scale,
-                                  top).content_normalized())
+            basis.append(Poly._of(ring, f.keys[:end], f.ints[:end],
+                                  f.scale).content_normalized())
     inexps: list[Exponent] = [b.initial_exponent() for b in basis]
     records: list[SPairRecord] = []
     pack, guards = ring.order.pack, _guards(ring.arity)

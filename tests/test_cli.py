@@ -293,6 +293,24 @@ def test_parse_error_exit_code(capsys, files):
     assert "parse error: line 3" in err
 
 
+def test_exponents_past_the_packed_field_exit_1(capsys, tmp_path):
+    # In the input the refusal is a parse error at the exponent; reached by
+    # a product, it names the ideal.
+    parsed = tmp_path / "parsed.txt"
+    parsed.write_text("ring x y\nideal I\n  x^3000000000 + y\n")
+    code, out, err = run(capsys, ["diagram", str(parsed)])
+    assert (code, out) == (1, "")
+    assert err == ("parse error: line 3, column 5: exponent 3000000000 "
+                   "does not fit a packed field (limit 2^31)\n")
+    reached = tmp_path / "reached.txt"
+    reached.write_text("ring x y\nideal I\n  x^1073741824*y\n"
+                       "  x^1073741824 + y^2\n")
+    code, out, err = run(capsys, ["diagram", str(reached)])
+    assert (code, out) == (1, "")
+    assert err == ("error: ideal I: exponent 2147483648 does not fit a "
+                   "packed field (limit 2^31)\n")
+
+
 def test_missing_file_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, ["diagram", str(tmp_path / "absent.txt")])
     assert code == 1

@@ -49,6 +49,8 @@ def test_parse_poly_pinned():
         RING, [((1, 2), Fraction(3, 4))])
     assert parse_poly("x*x^2", RING) == X ** 3
     assert parse_poly("2*x - 2*x", RING).is_zero
+    top = 2 ** 31 - 1  # the largest entry a packed field holds
+    assert parse_poly(f"x^{top}*y^{top}", RING).terms == (((top, top), 1),)
 
 
 @pytest.mark.parametrize("text,column,fragment", [
@@ -65,6 +67,10 @@ def test_parse_poly_pinned():
     ("@", 1, "unexpected character"),
     ("x^²", 3, "unexpected character"),
     ("²*x", 1, "unexpected character"),
+    # Exponents past the packed field, also when repeated factors add up.
+    ("x^3000000000 + y", 3, "exponent 3000000000 does not fit"),
+    ("y + x^1073741824*x^1073741824", 20, "exponent 2147483648 does not fit"),
+    ("x^2147483647*y*x", 16, "exponent 2147483648 does not fit"),
 ])
 def test_parse_poly_errors(text, column, fragment):
     with pytest.raises(ProblemError) as info:

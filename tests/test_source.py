@@ -92,7 +92,7 @@ def identifiers(path: Path) -> set[str]:
 
 # Mora's packed form: the merge kernel, the key packing and Poly's fields.
 PACKED_FORM = {"_merge", "pack", "unpack", "unpack_all", "keys", "ints",
-               "scale", "top"}
+               "scale"}
 
 
 def test_the_oracle_shares_no_code_with_the_engine_it_checks():
@@ -113,7 +113,7 @@ VALUE_METHODS = {"__eq__", "__hash__", "__setattr__", "__repr__"}
 
 def test_value_semantics_are_written_once():
     # The record classes inherit theirs from core._Record; only Poly, which
-    # equals scalars and leaves `top` out, defines its own.
+    # equals scalars and leaves its cached `_terms` out, defines its own.
     owners = set()
     for path in (ROOT / "src" / "staircase").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -217,6 +217,14 @@ def test_the_hot_paths_build_nothing_their_callers_do_not_read():
     used = {getattr(n, "id", getattr(n, "attr", None))
             for n in ast.walk(loops[0])}
     assert used & {"Fraction", "MoraStep", "unpack", "unpack_all"} == set()
+    # The key's weighted length bounds its exponent entries, so neither the
+    # s-polynomials unpack their shifts nor does a Poly store a bound.
+    spoly = next(f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                 and f.name == "_spoly")
+    used = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(spoly)}
+    assert used & {"unpack", "unpack_all"} == set()
+    core = importlib.import_module("staircase.core")
+    assert core.Poly.__slots__ == ("ring", "keys", "ints", "scale", "_terms")
     # The diagram queries walk the complement instead of scanning a box.
     diagram = ast.parse((ROOT / "src" / "staircase" / "diagram.py")
                         .read_text())

@@ -230,7 +230,7 @@ def _replay(f, reducers, trace, cap):
 @example((-X * Y - X ** 2 * Y, [-1 - 4 * X ** 2], None))
 def test_mora_trace_replays_to_the_remainder(inputs):
     f, reducers, cap = inputs
-    fields = [(list(p.keys), list(p.ints), p.scale, p.top)
+    fields = [(list(p.keys), list(p.ints), p.scale)
               for p in (f, *reducers)]
     try:
         remainder, trace = mora_normal_form(f, reducers, length_cap=cap)
@@ -243,7 +243,7 @@ def test_mora_trace_replays_to_the_remainder(inputs):
         assert not any(exp_divides(r.initial_exponent(), lead)
                        for r in reducers)
     # The run left the stored fields of its inputs as they were.
-    assert [(p.keys, p.ints, p.scale, p.top)
+    assert [(p.keys, p.ints, p.scale)
             for p in (f, *reducers)] == fields
 
 
@@ -279,6 +279,61 @@ def test_shifts_whose_entries_fit_are_not_refused():
     for cap in (None, 2 * n + 1, 2 * n):  # the last cuts x^n*y^n
         assert _spoly(reducers[0], g, lcm, cap).terms == _replay(
             Y ** n * reducers[0], [g], one_step, cap)
+
+
+RING31 = Ring(("x", "y"), order=Order((3, 1)))
+Y31 = RING31.variable("y")
+
+
+def _shifted_sub(h: dict, c, shift, g: Poly) -> dict:
+    """h - c*x^shift*g on exponent dicts, zero coefficients dropped."""
+    out = dict(h)
+    for e, v in g.terms:
+        e = exp_add(e, shift)
+        out[e] = out.get(e, 0) - c * v
+        if not out[e]:
+            del out[e]
+    return out
+
+
+def test_the_field_refusal_is_exact_under_weighted_orders():
+    # Under weights (3,1), x^a*y^b has length 3a + b. A product, a Mora step
+    # and an s-polynomial each make x^(3n), longer than FIELD_LIMIT with an
+    # entry that fits: the check unpacks it, refuses nothing, and the result
+    # is that of the same arithmetic on dicts.
+    n = FIELD_LIMIT // 8
+
+    def x(e):
+        return RING31.monomial((e, 0))
+
+    assert RING31.order.length((3 * n, 0)) > FIELD_LIMIT
+    p, q = x(2 * n) + 2 * Y31, x(n) - 3 * Y31 ** 3
+    product: dict = {}
+    for e, c in p.terms:
+        product = _shifted_sub(product, -c, e, q)
+    assert dict((p * q).terms) == product
+    g = Y31 + 5 * x(n)
+    f = RING31.monomial((2 * n, 1))
+    remainder, trace = mora_normal_form(f, [g])
+    assert trace.steps == (MoraStep("r0", (2 * n, 0), Fraction(1)),)
+    assert dict(remainder.terms) == _shifted_sub(dict(f.terms), 1,
+                                                 (2 * n, 0), g)
+    h = 2 * x(2 * n) - RING31.monomial((2 * n, 1))
+    lcm = RING31.order.pack((2 * n, 1))
+    assert dict(_spoly(g, h, lcm, None).terms) == _shifted_sub(
+        _shifted_sub({}, -1, (2 * n, 0), g), Fraction(1, 2), (0, 1), h)
+    # Here y^(2m) reaches FIELD_LIMIT, while the longest term, a shift of
+    # x^(m-1), fits: each of the three refuses, naming the entry.
+    m = FIELD_LIMIT // 2
+    wide = Y31 + x(m - 1) + RING31.monomial((0, m))
+    tall = RING31.monomial((0, m + 1))
+    refused = f"exponent {FIELD_LIMIT} does not fit"
+    with pytest.raises(ValueError, match=refused):
+        wide * wide
+    with pytest.raises(ValueError, match=refused):
+        mora_normal_form(tall, [wide])
+    with pytest.raises(ValueError, match=refused):
+        _spoly(wide, tall, RING31.order.pack((0, m + 1)), None)
 
 
 def test_standard_basis_calls_mora_once_per_reduced_spair(monkeypatch):
