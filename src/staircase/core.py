@@ -7,21 +7,18 @@ the leading data, as is usual for local rings.
 
 A polynomial has one representation, a packed form (Monagan-Pearce,
 Polynomial division using dynamic arrays, heaps, and packed exponent
-vectors, CASC 2007). A term's key is one integer with the weighted length in
-the top field and e_1..e_m in fixed-width fields below it, so comparing two
-terms is one integer comparison, shifting a term is one addition, and
-cutting at a length is a bisection. The coefficients are coprime integers
-times one positive Fraction scale. The form is canonical: keys strictly
-ascending, no zero integer, coprime integers and a positive scale, so equal
-polynomials store equal fields. Sums, differences and Mora's steps run on
-one merge, a*h - b*x^s*g with integer a and b; a product multiplies the
-integer parts, which stay coprime by Gauss's lemma. Every exponent entry must
-stay below FIELD_LIMIT (2^31): an entry past it is refused with ValueError
-when the polynomial is built, never wrapped. Weights are at least 1, so a
-term's weighted length, read off its key, bounds its entries: a product or
-a shift is unpacked to check them only when its longest term's length
-reaches FIELD_LIMIT. `Poly.terms` lists the (exponent, Fraction) pairs,
-built on first read.
+vectors, CASC 2007). A term's key is one integer laid out by `Order`, so
+comparing two terms is one integer comparison, shifting a term is one
+addition, and cutting at a length (`_cut`) is a bisection. The coefficients
+are coprime integers times one positive Fraction scale. The form is
+canonical: keys strictly ascending, no zero integer, coprime integers and a
+positive scale, so equal polynomials store equal fields. Sums, differences
+and Mora's steps run on one merge, a*h - b*x^s*g with integer a and b; a
+product multiplies the integer parts, which stay coprime by Gauss's lemma.
+Every exponent entry must stay below FIELD_LIMIT (2^31): an entry past it is
+refused with ValueError (`_reach`) when the polynomial is built, never
+wrapped. `Poly.terms` lists the (exponent, Fraction) pairs, built on first
+read.
 
 Every value here is immutable: `Poly` guards itself, and the record classes
 share their value semantics through `_Record`. Floats are rejected outright,
@@ -31,6 +28,7 @@ as coefficients, exponents, order weights and diagram vertices.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from operator import add, le, mul, sub
 from typing import Iterable, Sequence
@@ -55,10 +53,7 @@ Exponent = tuple[int, ...]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# A packed key holds e1, ..., em in fixed-width fields below the weighted
-# length. The top bit of each field is a guard that stays clear, so an
-# exponent must be below FIELD_LIMIT, and a subtraction that borrows from a
-# field shows in its guard bit.
+# The packed key layout; see `Order`.
 FIELD_BITS = 32
 FIELD_LIMIT = 1 << (FIELD_BITS - 1)
 _FIELD_MASK = (1 << FIELD_BITS) - 1
@@ -95,13 +90,24 @@ def _reach(order: "Order", keys: list[int], shift: int, end: int) -> None:
     """Refuse with ValueError an exponent entry of x^shift * x^keys[i], for
     i < end, that does not fit a packed field. The fields of two valid keys
     stay below 2^31, so their sum carries nothing from one field into the
-    next, and its top field is the exact weighted length of the product.
+    next, and its length field is the exact weighted length of the product.
     Weights are at least 1, so that length bounds every entry: only when the
     longest shifted term reaches FIELD_LIMIT is the prefix unpacked."""
-    low = FIELD_BITS * order.arity
-    if end and (keys[end - 1] + shift) >> low >= FIELD_LIMIT:
+    if end and (keys[end - 1] + shift) >> order.length_shift >= FIELD_LIMIT:
         shifted = [k + shift for k in keys[:end]]
         _fits(max(map(max, order.unpack_all(shifted))))
+
+
+def _cut(order: "Order", keys: list[int], shift: int, cap: int | None) -> int:
+    """The end of the prefix of keys that x^shift moves below the length
+    cap (all of keys without a cap), which `_reach` checks. Terms ascend
+    length-first, and a key below cap << length_shift is shorter than cap."""
+    end = len(keys)
+    if cap is not None:
+        low = order.length_shift
+        end = bisect_left(keys, (cap - (shift >> low)) << low)
+    _reach(order, keys, shift, end)
+    return end
 
 
 def total_degree(exp: Exponent) -> int:
@@ -109,8 +115,8 @@ def total_degree(exp: Exponent) -> int:
     return sum(exp)
 
 
-# The exponent helpers run once per term in Mora's inner loop, so they map
-# `operator` functions over the tuples instead of looping in Python.
+# The exponent helpers serve the diagram layer, the jet-window oracle and
+# the pair update's lcm; they map `operator` functions over the tuples.
 
 
 def exp_add(a: Exponent, b: Exponent) -> Exponent:
@@ -177,8 +183,12 @@ class Order(_Record):
     """Weighted-degree-first, then lexicographic, well-order on exponents.
 
     The sort key of an exponent b is (sum(w_i*b_i), b_1, ..., b_m) and smaller
-    keys come first; the zero exponent is the global minimum. `pack` makes
-    that key one integer. Orders are immutable values.
+    keys come first; the zero exponent is the global minimum. Orders are
+    immutable values. `pack` makes that key one integer, in the one layout
+    of packed keys: b_1..b_m in FIELD_BITS-wide fields below the weighted
+    length, which starts at bit `length_shift`. Each field's top bit is a
+    guard that stays clear, so x^e divides x^k exactly when
+    ((k | guards) - e) & guards == guards, `guards` being their mask.
     """
 
     _fields = ("weights",)
@@ -187,7 +197,10 @@ class Order(_Record):
         ws = _as_ints(weights, "order weights")
         if any(w < 1 for w in ws):
             raise ValueError("order weights must be positive integers")
-        self._set(weights=ws)
+        shifts = tuple(range(FIELD_BITS * (len(ws) - 1), -1, -FIELD_BITS))
+        self._set(weights=ws, length_shift=FIELD_BITS * len(ws),
+                  guards=sum(FIELD_LIMIT << s for s in shifts),
+                  _shifts=shifts)
 
     @staticmethod
     def unit(arity: int) -> "Order":
@@ -216,16 +229,14 @@ class Order(_Record):
     def unpack(self, packed: int) -> Exponent:
         """The exponent of one packed key, one shift and mask per field.
         Nothing is checked, as in `unpack_all`."""
-        return tuple([packed >> s & _FIELD_MASK for s in range(
-            FIELD_BITS * (len(self.weights) - 1), -1, -FIELD_BITS)])
+        return tuple([packed >> s & _FIELD_MASK for s in self._shifts])
 
     def unpack_all(self, keys) -> list[Exponent]:
         """The exponents of packed keys. Nothing is checked here: `pack`
         refuses an exponent that does not fit, and whoever adds packed keys
         must keep every field below FIELD_LIMIT."""
-        shifts = range(FIELD_BITS * (len(self.weights) - 1), -1, -FIELD_BITS)
         return list(zip(*[[k >> s & _FIELD_MASK for k in keys]
-                          for s in shifts]))
+                          for s in self._shifts]))
 
 
 class Ring(_Record):

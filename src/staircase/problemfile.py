@@ -48,6 +48,15 @@ class ProblemError(ValueError):
         self.column = column
 
 
+def _integer(text: str, line: int, column: int) -> int:
+    """A decimal literal's value, refused past Python's int-conversion limit."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ProblemError(f"integer literal of {len(text)} digits is too "
+                           "long", line, column) from None
+
+
 class _Token(NamedTuple):
     kind: str
     text: str
@@ -127,7 +136,7 @@ class _PolyParser:
         tok = self.peek()
         if tok.kind == "int":
             self.take()
-            coeff = Fraction(int(tok.text))
+            coeff = Fraction(_integer(tok.text, self.line, tok.column))
             nxt = self.peek()
             if nxt.kind == "op" and nxt.text == "/":
                 self.take()
@@ -135,9 +144,10 @@ class _PolyParser:
                 if den.kind != "int":
                     self.fail("expected an integer denominator")
                 self.take()
-                if int(den.text) == 0:
+                d = _integer(den.text, self.line, den.column)
+                if d == 0:
                     self.fail("zero denominator", den)
-                coeff = Fraction(int(tok.text), int(den.text))
+                coeff = coeff / d
                 nxt = self.peek()
             if nxt.kind == "op" and nxt.text == "*":
                 self.take()
@@ -168,7 +178,7 @@ class _PolyParser:
                 if last.kind != "int":
                     self.fail("missing exponent after '^'", caret)
                 self.take()
-                power = int(last.text)
+                power = _integer(last.text, self.line, last.column)
             exp[index] += power
             try:
                 _fits(exp[index])
@@ -239,15 +249,18 @@ def _parse_option(words, lineno: int) -> tuple[str, object]:
     if name not in _OPTION_NAMES:
         raise ProblemError(f"unknown option {name!r}", lineno, name_col)
     if name == "order":
-        parts = value.split(",")
-        if not all(p.isdecimal() and int(p) >= 1 for p in parts):
+        weights, col = [], value_col
+        for part in value.split(","):
+            weights.append(part.isdecimal() and _integer(part, lineno, col))
+            col += len(part) + 1
+        if min(weights) < 1:
             raise ProblemError("order weights must be positive integers",
                                lineno, value_col)
-        return name, tuple(int(p) for p in parts)
+        return name, tuple(weights)
     if not value.isdecimal():
         raise ProblemError(f"option {name} needs a nonnegative integer",
                            lineno, value_col)
-    return name, int(value)
+    return name, _integer(value, lineno, value_col)
 
 
 def parse_problem(text: str,

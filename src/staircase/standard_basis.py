@@ -42,7 +42,7 @@ standard basis of the ideal itself. An ideal whose complement is infinite
 never certifies and ends in the resource error.
 
 Mora's loop and the s-polynomials read and build the packed form that `Poly`
-stores (see `core`), and the cap is a bisection on its keys. A step forms
+stores, and cut at the cap, through the layout that `core` keeps. A step forms
 a*h - b*x^s*g with integer a and b that cancel the initial term, divides out
 the content with one gcd, and folds a and the content into the scale. The
 loop keeps the scale as a reduced integer pair (numerator, denominator),
@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import heapq
 import os
-from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
@@ -67,8 +66,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .core import (
-    FIELD_BITS, FIELD_LIMIT, Exponent, Order, Poly, Ring, _merge, _reach,
-    _Record, exp_lcm, resolve_ring,
+    Exponent, Poly, Ring, _cut, _merge, _Record, exp_lcm, resolve_ring,
 )
 from .diagram import Diagram, covering_length
 
@@ -214,28 +212,6 @@ def _primitive(ints: list[int]) -> tuple[list[int], int]:
     return ints, content
 
 
-def _guards(arity: int) -> int:
-    """The guard bits of packed keys of the given arity: x^e divides x^k
-    exactly when no field of (k | guards) - e borrows from its guard bit,
-    that is when ((k | guards) - e) & guards == guards."""
-    return sum(FIELD_LIMIT << (FIELD_BITS * i) for i in range(arity))
-
-
-def _cut(order: Order, keys: list[int], shift: int, cap: int | None) -> int:
-    """The end of the prefix of keys that x^shift moves below the length cap
-    (all of keys without a cap). Terms ascend length-first, so the terms
-    below the cap are a prefix; `_reach` refuses an exponent entry of the
-    shifted prefix that does not fit, read off its longest term's length."""
-    end = len(keys)
-    if cap is not None:
-        # Packed keys carry the weighted length above `low` bits of exponent
-        # fields, so a key below B << low is a term shorter than B.
-        low = FIELD_BITS * order.arity
-        end = bisect_left(keys, (cap - (shift >> low)) << low)
-    _reach(order, keys, shift, end)
-    return end
-
-
 def mora_normal_form(
     f: Poly, reducers, *, length_cap: int | None = None,
 ) -> tuple[Poly, MoraTrace]:
@@ -258,7 +234,7 @@ def mora_normal_form(
     each step its size, terms times the bits of the initial coefficient, is
     held to the work budget ($STAIRCASE_WORK_BUDGET, else
     DEFAULT_WORK_BUDGET); past it WorkBudgetExceeded is raised. An exponent
-    entry that reaches FIELD_LIMIT (2^31) is refused with ValueError.
+    entry past the packed field (2^31 and up) is refused with ValueError.
     """
     reducers = list(reducers)
     ring = f.ring
@@ -271,16 +247,13 @@ def mora_normal_form(
     budget = (None if length_cap is not None else
               _resolve_limit(WORK_BUDGET_ENV, DEFAULT_WORK_BUDGET))
     order = ring.order
-    # Packed keys carry the weighted length above `low` bits of exponent
-    # fields, which the ecarts read.
-    low = FIELD_BITS * ring.arity
-    guards = _guards(ring.arity)
+    low, guards = order.length_shift, order.guards  # see core.Order
     # A pool entry is (ecart, initial key, position, label, keys, ints, sn,
     # sd): the polynomial is sn/sd * sum(ints[i] * x^keys[i]). The first
     # three fields lead so that the least entry is Mora's choice: least
     # ecart, then least initial key, then the earliest. Positions are
-    # unique, so no comparison reaches the lists. Each step's `_cut` refuses
-    # exponent entries past the field, read off the shifted terms' lengths.
+    # unique, so no comparison reaches the lists. Each step's `core._cut`
+    # refuses exponent entries past the field.
     pool = [((g.keys[-1] >> low) - (g.keys[0] >> low), g.keys[0], i, f"r{i}",
              g.keys, g.ints, g.scale.numerator, g.scale.denominator)
             for i, g in enumerate(reducers)]
@@ -459,7 +432,7 @@ def _complete(gens: list[Poly], ring: Ring, length_cap: int | None) -> SBasis:
                                   f.scale).content_normalized())
     inexps: list[Exponent] = [b.initial_exponent() for b in basis]
     records: list[SPairRecord] = []
-    pack, guards = ring.order.pack, _guards(ring.arity)
+    pack, guards = ring.order.pack, ring.order.guards
     heap: list[tuple[int, int, int]] = []
     live: list[int] = []  # the elements that still form pairs
     coprime_skip = SPairRecord(0, True, None, skipped_coprime=True)

@@ -311,6 +311,59 @@ def test_exponents_past_the_packed_field_exit_1(capsys, tmp_path):
                    "packed field (limit 2^31)\n")
 
 
+def test_oversized_literals_exit_1_with_their_column(capsys, tmp_path):
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not digits:
+        pytest.skip("no int-conversion limit on this interpreter")
+    path = tmp_path / "big.txt"
+    path.write_text(f"ring x y\nideal I\n  y + 1{'0' * digits}*x\n")
+    code, out, err = run(capsys, ["diagram", str(path)])
+    assert (code, out) == (1, "")
+    assert err == (f"parse error: line 3, column 7: integer literal of "
+                   f"{digits + 1} digits is too long\n")
+
+
+NOT_REGULAR_FILE = dedent("""\
+    ring x y
+    map nc
+      relations
+        x*y
+        x^2
+      components
+        x + y
+""")
+
+
+def test_flat_ci_reports_relations_that_are_not_a_regular_sequence(
+        capsys, tmp_path):
+    path = tmp_path / "nc.txt"
+    path.write_text(NOT_REGULAR_FILE)
+    error = ("the relations are not a certified regular sequence, so the "
+             "fibre-dimension flatness test does not apply")
+    code, out, _ = run(capsys, ["flat-ci", str(path)])
+    assert code == 0
+    assert out.splitlines()[-1] == f"map nc: error: {error}"
+    code, report = run_json(capsys, ["flat-ci", str(path)])
+    assert code == 0
+    assert report["results"] == [{"name": "nc", "error": error}]
+    code, _, _ = run(capsys, ["flat-ci", str(path), "--expect-yes"])
+    assert code == 2
+
+
+def test_oracle_check_prints_where_the_engines_disagree(
+        capsys, files, monkeypatch):
+    from staircase import jet_oracle
+
+    def disagree(gens, bound, *, ring=None):
+        return jet_oracle.CrossCheckReport(False, (0, 2), bound, ((0, 2),), ())
+    monkeypatch.setattr(jet_oracle, "oracle_cross_check", disagree)
+    code, out, _ = run(capsys, ["oracle-check", files["main"], "--bound", "5"])
+    assert code == 0
+    assert "ideal I: DISAGREE at (0,2) below length 5" in out.splitlines()
+    code, _, _ = run(capsys, ["oracle-check", files["main"], "--expect-yes"])
+    assert code == 2
+
+
 def test_missing_file_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, ["diagram", str(tmp_path / "absent.txt")])
     assert code == 1

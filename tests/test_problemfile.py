@@ -1,6 +1,7 @@
 """The line-based problem-file dialect and its polynomial grammar."""
 
 import random
+import sys
 from fractions import Fraction
 from textwrap import dedent
 
@@ -19,6 +20,14 @@ from helpers import random_poly, random_ring
 RING = Ring(("x", "y"))
 X = RING.variable("x")
 Y = RING.variable("y")
+
+# A literal one digit past the interpreter's int-conversion limit, which
+# Python 3.11 has and some 3.10 releases lack; 0 means no limit is set.
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+BIG = "1" + "0" * INT_DIGITS
+past_int_limit = pytest.mark.skipif(
+    not INT_DIGITS, reason="no int-conversion limit on this interpreter")
+TOO_LONG = f"integer literal of {INT_DIGITS + 1} digits is too long"
 
 EXAMPLE = dedent("""\
     # two plane curve germs and a map between coordinates
@@ -71,6 +80,15 @@ def test_parse_poly_pinned():
     ("x^3000000000 + y", 3, "exponent 3000000000 does not fit"),
     ("y + x^1073741824*x^1073741824", 20, "exponent 2147483648 does not fit"),
     ("x^2147483647*y*x", 16, "exponent 2147483648 does not fit"),
+    ("2*3", 3, "expected a variable"),
+    # Literals past the int-conversion limit, as numerator, denominator and
+    # exponent.
+    pytest.param(f"{BIG}*x + y", 1, TOO_LONG, marks=past_int_limit,
+                 id="long-numerator"),
+    pytest.param(f"1/{BIG}*x", 3, TOO_LONG, marks=past_int_limit,
+                 id="long-denominator"),
+    pytest.param(f"y + x^{BIG}", 7, TOO_LONG, marks=past_int_limit,
+                 id="long-exponent"),
 ])
 def test_parse_poly_errors(text, column, fragment):
     with pytest.raises(ProblemError) as info:
@@ -154,6 +172,16 @@ def test_order_option_and_override():
     ("ring x y\nmap f\n  components extra", 3, "takes no arguments"),
     ("ring x y\nmap f\n  components\n    x + 1", 2, "map 'f'"),
     ("ring x y\nmap f", 2, "map 'f'"),
+    ("ring x y\nideal", 2, "ideal needs exactly one name"),
+    ("ring x y\nideal A B", 2, "ideal needs exactly one name"),
+    pytest.param(f"ring x y\noption seed {BIG}", 2, f"column 13: {TOO_LONG}",
+                 marks=past_int_limit, id="long-seed"),
+    pytest.param(f"ring x y\noption trials {BIG}", 2,
+                 f"column 15: {TOO_LONG}", marks=past_int_limit,
+                 id="long-trials"),
+    pytest.param(f"ring x y\noption order 1,{BIG}", 2,
+                 f"column 16: {TOO_LONG}", marks=past_int_limit,
+                 id="long-order-weight"),
 ])
 def test_parse_problem_errors(text, line, fragment):
     with pytest.raises(ProblemError) as info:

@@ -108,6 +108,24 @@ def test_the_oracle_shares_no_code_with_the_engine_it_checks():
     assert oracle & private == {"_Record", "_fields", "_set"}
 
 
+def test_the_packed_key_layout_lives_in_core():
+    # Order computes the length shift and the guard mask once; the divider
+    # reads them and imports the cut, so no other module re-derives them.
+    src = ROOT / "src" / "staircase"
+    tree = ast.parse((src / "standard_basis.py").read_text())
+    assert identifiers(src / "standard_basis.py") & {
+        "FIELD_BITS", "FIELD_LIMIT", "_reach"} == set()
+    defined = {f.name for f in ast.walk(tree)
+               if isinstance(f, ast.FunctionDef)}
+    assert defined & {"_guards", "_cut"} == set()
+    multiplying = {path.name for path in src.glob("*.py")
+                   for n in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+                   and "FIELD_BITS" in {getattr(n.left, "id", None),
+                                        getattr(n.right, "id", None)}}
+    assert multiplying == {"core.py"}
+
+
 VALUE_METHODS = {"__eq__", "__hash__", "__setattr__", "__repr__"}
 
 
