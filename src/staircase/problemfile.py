@@ -49,7 +49,8 @@ class ProblemError(ValueError):
 
 
 def _integer(text: str, line: int, column: int) -> int:
-    """A decimal literal's value, refused past Python's int-conversion limit."""
+    """A decimal literal's value, refused past Python's int-conversion
+    limit, which `sys.set_int_max_str_digits` sets for the whole process."""
     try:
         return int(text)
     except ValueError:
