@@ -15,8 +15,8 @@ import sys
 import time
 from typing import Callable, NamedTuple, Sequence
 
-from .core import Order, Ring, determinant
-from .problemfile import ProblemError, parse_problem
+from .core import determinant
+from .problemfile import ProblemError, _integer, _weights, parse_problem
 from .standard_basis import PoolLimitExceeded, diagram_of_ideal, standard_basis
 
 # Runners import what they call from determinacy, jet_oracle and demo, and
@@ -37,11 +37,6 @@ REPORT_SCHEMA = {
     },
     "additionalProperties": False,
 }
-
-_DEFAULT_SEED = 0
-_DEFAULT_TRIALS = 8
-_DEFAULT_BOUND = 8
-
 
 class _UsageError(Exception):
     pass
@@ -74,12 +69,25 @@ class _CommandParser(_Parser):
         return super().parse_known_args(args, namespace)
 
 
-_ORDER = (("--order",), {"help": "order weights, comma separated"})
-_SEED = (("--seed",), {"type": int, "default": None,
+def _flag(read):
+    """An argparse type that reads a flag's value as `read` reads the option
+    line it stands for, so a value refused there is a usage error here, with
+    the same message less the line and column."""
+    def value(text):
+        try:
+            return read(text, 1, 1)
+        except ProblemError as exc:
+            raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return value
+
+
+_ORDER = (("--order",), {"type": _flag(_weights),
+                         "help": "order weights, comma separated"})
+_SEED = (("--seed",), {"type": _flag(_integer),
                        "help": "random seed (default 0)"})
-_TRIALS = (("--trials",), {"type": int, "default": None,
+_TRIALS = (("--trials",), {"type": _flag(_integer),
                            "help": "coordinate-change trials (default 8)"})
-_BOUND = (("--bound",), {"type": int, "default": None,
+_BOUND = (("--bound",), {"type": _flag(_integer),
                          "help": "top k of H(0..k) for hilbert, window length "
                                  "for regseq and oracle-check (default 8, "
                                  "except regseq)"})
@@ -107,6 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _arguments(command) -> list:
     """A command's (flags, options) pairs in the order --help lists them."""
     own = [_ORDER, _SEED, _JSON, *command.arguments]
+    if command.bound is not None:
+        own.append(_BOUND)
     if command.failed is not None:
         own.append(_EXPECT_YES)
     file = ([(("file",), {"help": "problem file path"})]
@@ -115,43 +125,25 @@ def _arguments(command) -> list:
             + [spec for spec in own if spec not in _SHARED])
 
 
-def _parse_order_flag(text):
-    if text is None:
-        return None
-    try:
-        weights = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise _UsageError("--order needs comma-separated integers") from None
-    if any(w < 1 for w in weights):
-        raise _UsageError("--order weights must be positive")
-    return weights
-
-
 def _parse_mu_range(text):
     parts = text.split("..")
     try:
-        if len(parts) == 1:
-            low = high = int(parts[0])
-        elif len(parts) == 2:
-            low, high = int(parts[0]), int(parts[1])
-        else:
+        if len(parts) > 2:
             raise ValueError(text)
+        low, high = (_integer(part, 1, 1) for part in (parts[0], parts[-1]))
     except ValueError:
         raise _UsageError(f"--mu expects 'a..b', got {text!r}") from None
-    if low < 0 or low > high:
+    if low > high:
         raise _UsageError("--mu range must be nonnegative and ascending")
     return low, high
 
 
 def _parse_mu_single(text):
     try:
-        value = int(text)
-    except ValueError:
+        return _integer(text, 1, 1)
+    except ProblemError:
         raise _UsageError(
             f"--mu expects a single integer here, got {text!r}") from None
-    if value < 0:
-        raise _UsageError("--mu must be nonnegative")
-    return value
 
 
 def _points(vertices) -> list[list[int]]:
@@ -201,12 +193,11 @@ def _show_vertices(entry):
 
 
 def _run_hilbert(args, ring, gens):
-    top = args.bound if args.bound is not None else _DEFAULT_BOUND
-    # Exponents of total degree <= top have weighted length below this cap,
-    # and the capped diagram is exact there.
-    cap = top * max(ring.order.weights) + 1
+    # Exponents of total degree <= bound have weighted length below this
+    # cap, and the capped diagram is exact there.
+    cap = args.bound * max(ring.order.weights) + 1
     d = standard_basis(gens, ring=ring, length_cap=cap).diagram
-    return {"bound": top, "values": d.hilbert_vector(top)}
+    return {"bound": args.bound, "values": d.hilbert_vector(args.bound)}
 
 
 def _show_hilbert(entry):
@@ -222,20 +213,12 @@ def _show_dim(entry):
     return [f"ideal {entry['name']}: dimension {entry['dimension']}"]
 
 
-def _window_bound(args, bound: int) -> int:
-    # hilbert reads H(0..0) at --bound 0, but a window needs length 1.
-    if bound < 1:
-        raise _UsageError(f"{args.command} --bound requires a positive integer")
-    return bound
-
-
 def _run_regseq(args, ring, gens):
     from .determinacy import regseq_axis_certificate, regular_sequence
-    bound = None if args.bound is None else _window_bound(args, args.bound)
     entry = {"verdict": regular_sequence(gens, ring=ring).to_dict()}
-    if bound is not None:
+    if args.bound is not None:
         axis = regseq_axis_certificate(gens, trials=args.trials, seed=args.seed,
-                                       bound=bound, ring=ring)
+                                       bound=args.bound, ring=ring)
         entry["axis_certificate"] = axis.to_dict()
     return entry
 
@@ -340,11 +323,9 @@ def _show_sweep(entry):
 
 def _run_oracle_check(args, ring, gens):
     from .jet_oracle import oracle_cross_check
-    top = _window_bound(args, args.bound if args.bound is not None
-                        else _DEFAULT_BOUND)
-    rep = oracle_cross_check(gens, top, ring=ring)
+    rep = oracle_cross_check(gens, args.bound, ring=ring)
     return {
-        "bound": top,
+        "bound": args.bound,
         "agree": rep.agree,
         "first_difference": (list(rep.first_difference)
                              if rep.first_difference else None),
@@ -362,13 +343,11 @@ def _show_oracle_check(entry):
             f"below length {entry['bound']}"]
 
 
-def _run_det_example(args):
+def _run_det_example(args, ring):
     from .demo import presentation_rows
     low, high = args.mu
     if low < 5:
         raise _UsageError("det-example needs mu at least 5")
-    weights = _parse_order_flag(args.order) or (1, 1)
-    ring = Ring(("x", "y"), order=Order(weights))
     x = ring.variable("x")
     y = ring.variable("y")
     results = []
@@ -381,13 +360,7 @@ def _run_det_example(args):
             "expected": expected.pretty(),
             "match": det == expected,
         })
-    return {
-        "command": "det-example",
-        "inputs": {"builtin": "truncated-family", "mu": f"{low}..{high}"},
-        "seed": args.seed if args.seed is not None else _DEFAULT_SEED,
-        "order": list(weights),
-        "results": results,
-    }
+    return results
 
 
 def _show_det_example(entry):
@@ -400,11 +373,13 @@ class _Command(NamedTuple):
     """One subcommand: its help, extra arguments, compute and render.
 
     `compute(args, ring, item)` gives the result entry, less its name, of one
-    ideal or map, as `over` says, with the seed, and the trials and bound of
-    the commands that take them, in `args` resolved against the file's
-    options. With `over` None no file is read and `compute(args)` builds the
-    whole report. `render` gives one entry's output lines; a command with
-    `failed` takes --expect-yes, which exits 2 when `failed` marks an entry.
+    ideal or map, as `over` says, with the order, the seed, and the trials
+    and bound of the commands that take them resolved (see `_resolve`).
+    With `over` None no file is read, the ring is x, y and
+    `compute(args, ring)` gives every entry. `render` gives one entry's
+    output lines; a command with `failed` takes --expect-yes, which exits 2
+    when `failed` marks an entry. A command with `bound`, the default and
+    least value of its window or top, takes --bound.
     """
 
     help: str
@@ -413,6 +388,7 @@ class _Command(NamedTuple):
     over: str | None = "ideals"
     failed: Callable[[dict], bool] | None = None
     arguments: Sequence = ()  # (flags, options) pairs for add_argument
+    bound: tuple[int | None, int] | None = None
 
 
 COMMANDS = {
@@ -420,13 +396,14 @@ COMMANDS = {
                         _run_diagram, _show_diagram),
     "vertices": _Command("staircase vertices of each ideal",
                          _run_vertices, _show_vertices),
+    # hilbert reads H(0..0) at --bound 0, but a window needs length 1.
     "hilbert": _Command("complement counts of each ideal up to --bound",
-                        _run_hilbert, _show_hilbert, arguments=[_BOUND]),
+                        _run_hilbert, _show_hilbert, bound=(8, 0)),
     "dim": _Command("quotient dimension of each ideal", _run_dim, _show_dim),
     "regseq": _Command("regular-sequence verdict per ideal; --bound adds an "
                        "axis certificate",
                        _run_regseq, _show_regseq, failed=_not_yes,
-                       arguments=[_TRIALS, _BOUND]),
+                       arguments=[_TRIALS], bound=(None, 1)),
     "flat-ci": _Command("flatness verdict for each map germ",
                         _run_flat_ci, _show_flat_ci, over="maps",
                         failed=_not_yes),
@@ -442,13 +419,13 @@ COMMANDS = {
         arguments=[
             (("--mu",), {"required": True, "type": _parse_mu_range,
                          "help": "inclusive range a..b"}),
-            (("--len",), {"dest": "length", "type": int, "default": None,
+            (("--len",), {"dest": "length", "type": _flag(_integer),
                           "help": "slice length bound (default mu_max + 3)"}),
         ]),
     "oracle-check": _Command("cross-validate the two staircase engines",
                              _run_oracle_check, _show_oracle_check,
                              failed=lambda entry: not entry["agree"],
-                             arguments=[_BOUND]),
+                             bound=(8, 1)),
     "det-example": _Command(
         "determinant identity for the built-in family",
         _run_det_example, _show_det_example, over=None,
@@ -458,38 +435,48 @@ COMMANDS = {
 }
 
 
-def _file_report(args, command):
-    with open(args.file, "rb") as handle:
-        data = handle.read()
-    digest = hashlib.sha256(data).hexdigest()
-    problem = parse_problem(data.decode("utf-8"),
-                            order_override=_parse_order_flag(args.order))
-    # Flags override the file's options, which override the defaults. A
-    # command reads only the options it takes flags for.
-    for name, default in (("seed", _DEFAULT_SEED), ("trials", _DEFAULT_TRIALS),
-                          ("bound", None)):
-        if name in vars(args) and getattr(args, name) is None:
-            setattr(args, name, problem.options.get(name, default))
-    # Checked once the options are resolved, so flags and option lines agree.
-    if getattr(args, "bound", None) is not None and args.bound < 0:
-        raise _UsageError("--bound requires a nonnegative integer")
-    if getattr(args, "length", None) is not None and args.length < 0:
-        raise _UsageError("--len requires a nonnegative integer")
-    if getattr(args, "trials", None) is not None and args.trials < 1:
-        raise _UsageError("--trials requires a positive integer")
+def _report(args, command):
+    if command.over is None:  # the built-in family, over the ring x, y
+        text = "ring x y"
+        inputs = {"builtin": "truncated-family",
+                  "mu": "{}..{}".format(*args.mu)}
+    else:
+        with open(args.file, "rb") as handle:
+            data = handle.read()
+        text = data.decode("utf-8")
+        inputs = {"file": args.file, "sha256": hashlib.sha256(data).hexdigest()}
+    problem = parse_problem(text, order_override=args.order)
+    _resolve(args, command, problem.options)
+    if command.over is None:
+        results = command.compute(args, problem.ring)
+    else:
+        inputs.update(ideals=list(problem.ideals), maps=list(problem.maps))
+        results = [_compute(args, command, problem.ring, name, item)
+                   for name, item in getattr(problem, command.over).items()]
     return {
         "command": args.command,
-        "inputs": {
-            "file": args.file,
-            "sha256": digest,
-            "ideals": list(problem.ideals),
-            "maps": list(problem.maps),
-        },
+        "inputs": inputs,
         "seed": args.seed,
         "order": list(problem.ring.order.weights),
-        "results": [_compute(args, command, problem.ring, name, item)
-                    for name, item in getattr(problem, command.over).items()],
+        "results": results,
     }
+
+
+def _resolve(args, command, options):
+    """Set each number the command takes to its flag, else its option line,
+    else its default, refused below its least value, so that a flag and an
+    option line get the same check. Both are decimal literals, never
+    negative, so only a least value of 1 refuses anything."""
+    for name, (default, least) in (("seed", (0, 0)), ("trials", (8, 1)),
+                                   ("bound", command.bound or (None, 0))):
+        if name not in vars(args):
+            continue
+        value = getattr(args, name)
+        if value is None:
+            value = options.get(name, default)
+        if value is not None and value < least:
+            raise _UsageError(f"--{name} requires a positive integer")
+        setattr(args, name, value)
 
 
 def _compute(args, command, ring, name, item):
@@ -504,10 +491,7 @@ def _compute(args, command, ring, name, item):
 
 def _dispatch(args):
     command = COMMANDS[args.command]
-    if command.over is None:
-        report = command.compute(args)
-    else:
-        report = _file_report(args, command)
+    report = _report(args, command)
     # Only the commands with `failed` take --expect-yes.
     expect_failed = getattr(args, "expect_yes", False) and any(
         command.failed(entry) for entry in report["results"])

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cache
 from operator import add, le, mul, sub
 from typing import Iterable, Sequence
 
@@ -203,7 +204,9 @@ class Order(_Record):
                   _shifts=shifts)
 
     @staticmethod
+    @cache
     def unit(arity: int) -> "Order":
+        """The unit-weight order, one shared value per arity."""
         return Order((1,) * arity)
 
     @property

@@ -40,22 +40,45 @@ _OPTION_NAMES = ("order", "seed", "bound", "trials")
 
 
 class ProblemError(ValueError):
-    """Parse or validation failure with a 1-based line and column."""
+    """Parse or validation failure with a 1-based line and column.
+
+    `args[0]` is the message without them, as a command-line flag that
+    breaks the same rule reports it.
+    """
 
     def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"line {line}, column {column}: {message}")
+        super().__init__(message)
         self.line = line
         self.column = column
 
+    def __str__(self):
+        return f"line {self.line}, column {self.column}: {self.args[0]}"
+
 
 def _integer(text: str, line: int, column: int) -> int:
-    """A decimal literal's value, refused past Python's int-conversion
-    limit, which `sys.set_int_max_str_digits` sets for the whole process."""
+    """The value of a decimal literal: decimal digits only, with no sign,
+    underscore or space, and no more of them than Python's int-conversion
+    limit, which `sys.set_int_max_str_digits` sets for the whole process.
+    Option lines and the command line's numeric flags read numbers here."""
+    if not text.isdecimal():
+        raise ProblemError(f"invalid int value: {text!r}", line, column)
     try:
         return int(text)
     except ValueError:
         raise ProblemError(f"integer literal of {len(text)} digits is too "
                            "long", line, column) from None
+
+
+def _weights(text: str, line: int, column: int) -> tuple[int, ...]:
+    """Order weights: comma-separated decimal literals, each positive."""
+    weights, start = [], column
+    for part in text.split(","):
+        weights.append(_integer(part, line, column))
+        column += len(part) + 1
+    if min(weights) < 1:
+        raise ProblemError("order weights must be positive integers",
+                           line, start)
+    return tuple(weights)
 
 
 class _Token(NamedTuple):
@@ -249,19 +272,8 @@ def _parse_option(words, lineno: int) -> tuple[str, object]:
     (_, _), (name, name_col), (value, value_col) = words
     if name not in _OPTION_NAMES:
         raise ProblemError(f"unknown option {name!r}", lineno, name_col)
-    if name == "order":
-        weights, col = [], value_col
-        for part in value.split(","):
-            weights.append(part.isdecimal() and _integer(part, lineno, col))
-            col += len(part) + 1
-        if min(weights) < 1:
-            raise ProblemError("order weights must be positive integers",
-                               lineno, value_col)
-        return name, tuple(weights)
-    if not value.isdecimal():
-        raise ProblemError(f"option {name} needs a nonnegative integer",
-                           lineno, value_col)
-    return name, _integer(value, lineno, value_col)
+    read = _weights if name == "order" else _integer
+    return name, read(value, lineno, value_col)
 
 
 def parse_problem(text: str,

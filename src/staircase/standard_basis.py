@@ -365,15 +365,15 @@ def _spoly(f: Poly, g: Poly, lcm: int, cap: int | None) -> Poly:
 def _unit_free(f: Poly) -> Poly:
     """x^d when f is x^d times a unit, which spans the same local ideal.
 
-    f is x^d*u with u(0) != 0 exactly when its initial exponent d is the
-    componentwise minimum of its support.
+    f is x^d*u with u(0) != 0 exactly when x^d, its initial term, divides
+    every term, which the guard test of `core.Order` reads off the keys.
     """
     if f.is_zero:
         return f
-    d = f.initial_exponent()
-    if tuple(map(min, zip(*f.ring.order.unpack_all(f.keys)))) != d:
+    lead, guards = f.keys[0], f.ring.order.guards
+    if any(((k | guards) - lead) & guards != guards for k in f.keys):
         return f
-    return f.ring.monomial(d)
+    return Poly(f.ring, [lead], [1], Fraction(1))
 
 
 def standard_basis(

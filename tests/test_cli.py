@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -321,6 +322,44 @@ def test_oversized_literals_exit_1_with_their_column(capsys, tmp_path):
     assert (code, out) == (1, "")
     assert err == (f"parse error: line 3, column 7: integer literal of "
                    f"{digits + 1} digits is too long\n")
+
+
+# A literal one digit past the interpreter's int-conversion limit, which
+# Python 3.11 has and some 3.10 releases lack.
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize("literal,fault", [
+    *[pytest.param(text, f"invalid int value: {text!r}", id=text)
+      for text in ("1_0", "+2", "-5")],
+    pytest.param("1" + "0" * INT_DIGITS,
+                 f"integer literal of {INT_DIGITS + 1} digits is too long",
+                 id="past-the-limit", marks=pytest.mark.skipif(
+                     not INT_DIGITS, reason="no int-conversion limit")),
+])
+@pytest.mark.parametrize("name,command", [
+    ("seed", "dim"), ("trials", "regseq"), ("bound", "hilbert"),
+    ("order", "vertices"),
+])
+def test_flags_and_option_lines_refuse_the_same_literals(
+        capsys, tmp_path, name, command, literal, fault):
+    # A flag value follows the problem-file literal rules; refused either
+    # way, it names the same fault, less the line and column.
+    value = literal + (",1" if name == "order" else "")
+    code, out, flag_err = run(capsys, [command, str(tmp_path / "absent.txt"),
+                                       f"--{name}={value}"])
+    assert (code, out) == (1, "")
+    flag_fault = re.fullmatch(rf"usage error: argument --{name}: (.*)\n",
+                              flag_err).group(1)
+    path = tmp_path / "option.txt"
+    path.write_text(MAIN_FILE.replace("option seed 7\n",
+                                      f"option {name} {value}\n"))
+    code, out, line_err = run(capsys, [command, str(path)])
+    assert (code, out) == (1, "")
+    column = len(f"option {name} ") + 1
+    line_fault = re.fullmatch(rf"parse error: line 2, column {column}: (.*)\n",
+                              line_err).group(1)
+    assert flag_fault == line_fault == fault
 
 
 NOT_REGULAR_FILE = dedent("""\

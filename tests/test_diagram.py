@@ -30,6 +30,27 @@ def test_exponents_upto_is_the_unit_order_enumerator():
                 Order.unit(arity), bound + 1)
 
 
+def test_unit_order_queries_build_no_order(monkeypatch):
+    # Orders are immutable values, so the queries that measure total degree
+    # share one unit order per arity instead of building one per call.
+    d = Diagram(3, ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
+    e = Diagram(3, ((1, 0, 0), (0, 3, 0), (0, 0, 2)))
+    d.power_of_maximal(), d.equal_upto(e, 0), exponents_upto(3, 0)
+    built = []
+    init = Order.__init__
+
+    def counting_init(self, weights):
+        built.append(weights)
+        init(self, weights)
+    monkeypatch.setattr(Order, "__init__", counting_init)
+    for bound in range(6):
+        assert len(exponents_upto(3, bound)) == (bound + 1) * (bound + 2) * (
+            bound + 3) // 6
+        assert d.power_of_maximal() == 4
+        assert d.equal_upto(e, bound) == (bound < 1)
+    assert built == []
+
+
 def test_vertices_must_form_an_antichain():
     with pytest.raises(ValueError):
         Diagram(2, ((1, 0), (2, 0)))

@@ -158,9 +158,9 @@ def test_order_option_and_override():
     ("ring x y\noption order 1", 1, "one weight per ring variable"),
     ("ring x y\noption seed 1\noption seed 2", 3, "duplicate option"),
     ("ring x y\noption colour 1", 2, "unknown option"),
-    ("ring x y\noption seed -3", 2, "nonnegative integer"),
-    ("ring x y\noption seed ²", 2, "nonnegative integer"),
-    ("ring x y\noption order ²", 2, "positive integers"),
+    ("ring x y\noption seed -3", 2, "invalid int value"),
+    ("ring x y\noption seed ²", 2, "invalid int value"),
+    ("ring x y\noption order ²", 2, "invalid int value"),
     ("ring x y\noption seed", 2, "single value"),
     ("ring x y\nx + y", 2, "polynomial outside a block"),
     ("ring x y\nideal I\nideal I", 3, "duplicate name"),

@@ -32,10 +32,10 @@ from staircase import (
     unit_cleared_generators,
 )
 from staircase.core import FIELD_LIMIT
-from staircase.standard_basis import _spoly
+from staircase.standard_basis import _spoly, _unit_free
 from helpers import (
-    is_canonical, random_ideal, random_poly, random_ring, random_tail,
-    vanishing_poly,
+    is_canonical, random_exponent, random_ideal, random_poly, random_ring,
+    random_tail, vanishing_poly,
 )
 
 RING = Ring(("x", "y"))
@@ -546,6 +546,26 @@ def test_unit_times_monomial_generators_enter_as_the_monomial():
     # x*(x + y) is no unit multiple: its initial term xy is not the
     # componentwise minimum x of its support.
     assert standard_basis([X * (X + Y)]).basis == (X * Y + X ** 2,)
+    # Seeded generators, half of them x^d times a unit, under random
+    # weights, against the definition on unpacked exponents.
+    rng = random.Random(541)
+    kinds = set()
+    for _ in range(300):
+        ring = random_ring(rng, max_weight=3)
+        f = random_poly(rng, ring, zero_ok=True)
+        if rng.random() < 0.5:
+            unit = ring.constant(rng.choice((-2, 1, 3))) + random_tail(
+                rng, ring, 1, 3)
+            f = ring.monomial(random_exponent(rng, ring.arity, 4)) * unit
+        expected = f
+        if not f.is_zero:
+            d = f.initial_exponent()
+            if tuple(map(min, zip(*ring.order.unpack_all(f.keys)))) == d:
+                expected = ring.monomial(d)
+        got = _unit_free(f)
+        assert got == expected and is_canonical(got)
+        kinds.add((f.is_zero, got == f, len(f.keys) > 1))
+    assert {(False, False, True), (False, True, True)} <= kinds
 
 
 def test_mora_treadmill_ends_in_the_work_budget(monkeypatch):
