@@ -38,6 +38,7 @@ REPORT_SCHEMA = {
     "additionalProperties": False,
 }
 
+
 class _UsageError(Exception):
     pass
 
