@@ -10,7 +10,6 @@ runs with the same file and flags.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 import time
 from typing import Callable, NamedTuple, Sequence
@@ -442,11 +441,17 @@ def _report(args, command):
         inputs = {"builtin": "truncated-family",
                   "mu": "{}..{}".format(*args.mu)}
     else:
+        import hashlib  # OpenSSL's start-up is paid only when a file is read
         with open(args.file, "rb") as handle:
             data = handle.read()
         text = data.decode("utf-8")
         inputs = {"file": args.file, "sha256": hashlib.sha256(data).hexdigest()}
-    problem = parse_problem(text, order_override=args.order)
+    try:
+        problem = parse_problem(text, order_override=args.order)
+    except ProblemError as exc:
+        if exc.line is None:  # the --order weights, not the text, are at fault
+            raise _UsageError(f"argument --order: {exc.args[0]}") from None
+        raise
     _resolve(args, command, problem.options)
     if command.over is None:
         results = command.compute(args, problem.ring)

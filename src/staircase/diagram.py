@@ -5,8 +5,14 @@ minimal elements under the componentwise order, and that antichain is the
 stored data. Diagram queries measure unweighted total length; the exponent
 enumerator, the covering length and `first_difference` take the order whose
 length they use. The complement, the Hilbert-Samuel counts and the covering
-length come from one walk over the complement, which visits no point of the
-diagram but the first one inside along each axis.
+length come from a walk over the complement, which visits no point of the
+diagram but the first one inside along each axis. A bounded query walks
+only below its bound. A finite complement, once known, is kept with the
+diagram and read instead of walked: the completion that built the diagram
+hands over the complement it kept, and `power_of_maximal` keeps its own
+full walk. The completion keeps it in a `_ShrinkingComplement`, which walks
+once, when the complement becomes finite, and afterwards only drops the
+points that entering exponents divide.
 """
 
 from __future__ import annotations
@@ -113,8 +119,16 @@ def covering_length(exps: Iterable[Exponent], order: Order) -> int | None:
                default=0)
 
 
+def _by_length(exp: Exponent) -> tuple[int, Exponent]:
+    return total_degree(exp), exp
+
+
 class Diagram(_Record):
     _fields = ("arity", "vertices")
+    # The finite complement as (point, total degree) rows, lexicographically
+    # ascending, when it is known; not a field, so equality, hash and repr
+    # do not see it.
+    _outside: list[tuple[Exponent, int]] | None = None
 
     def __init__(self, arity: int, vertices: tuple[Exponent, ...]):
         vs = tuple(_as_ints(v, "vertices") for v in vertices)
@@ -123,7 +137,7 @@ class Diagram(_Record):
                 raise ValueError("vertex arity does not match the diagram")
             if any(x < 0 for x in v):
                 raise ValueError("vertices must be nonnegative")
-        vs = tuple(sorted(set(vs), key=lambda v: (total_degree(v), v)))
+        vs = tuple(sorted(set(vs), key=_by_length))
         for a in vs:
             for b in vs:
                 if a != b and exp_divides(b, a):
@@ -147,12 +161,20 @@ class Diagram(_Record):
         elif arity is None:
             raise ValueError("an empty exponent set needs an explicit arity")
         # A proper divisor has smaller total degree, so it is met first, and a
-        # point is minimal unless a vertex kept before it divides it.
+        # point is minimal unless a vertex kept before it divides it. The
+        # vertices come out sorted and form an antichain, as __init__ would
+        # make and check them; the entries are checked as __init__ does.
         vertices: list[Exponent] = []
-        for p in sorted(set(pts), key=lambda p: (total_degree(p), p)):
+        for p in sorted(set(pts), key=_by_length):
             if not any(exp_divides(v, p) for v in vertices):
                 vertices.append(p)
-        return cls(arity, tuple(vertices))
+        for v in vertices:
+            _as_ints(v, "vertices")
+            if any(x < 0 for x in v):
+                raise ValueError("vertices must be nonnegative")
+        diagram = cls.__new__(cls)
+        diagram._set(arity=arity, vertices=tuple(vertices))
+        return diagram
 
     @property
     def is_empty(self) -> bool:
@@ -164,22 +186,29 @@ class Diagram(_Record):
             raise ValueError("exponent arity does not match the diagram")
         return any(exp_divides(v, exp) for v in self.vertices)
 
+    def _rows(self, bound: int) -> list[tuple[Exponent, int]]:
+        """The complement's (point, total degree) rows shorter than bound,
+        lexicographically ascending: read off the kept complement, else
+        walked below the bound."""
+        if self._outside is None:
+            return _complement(self.vertices, (1,) * self.arity, bound)
+        return [row for row in self._outside if row[1] < bound]
+
     def complement_upto(self, bound: int) -> list[Exponent]:
         """Exponents outside the diagram of length <= bound, order ascending."""
-        # Sorting the lexicographic walk stably by length gives the order.
-        rows = _complement(self.vertices, (1,) * self.arity, bound + 1)
-        return [e for e, _ in sorted(rows, key=itemgetter(1))]
+        # Sorting the lexicographic rows stably by length gives the order.
+        return [e for e, _ in sorted(self._rows(bound + 1), key=itemgetter(1))]
 
     def hilbert_vector(self, bound: int) -> list[int]:
         """[hilbert_samuel(k) for k in range(bound + 1)] from one enumeration."""
         counts = [0] * (bound + 1)
-        for _, n in _complement(self.vertices, (1,) * self.arity, bound + 1):
+        for _, n in self._rows(bound + 1):
             counts[n] += 1
         return list(accumulate(counts))
 
     def hilbert_samuel(self, k: int) -> int:
         """Number of complement exponents of length at most k."""
-        return len(_complement(self.vertices, (1,) * self.arity, k + 1))
+        return len(self._rows(k + 1))
 
     def quotient_dimension(self) -> int:
         """Krull dimension of the monomial quotient attached to the diagram.
@@ -205,8 +234,22 @@ class Diagram(_Record):
         return max(total_degree(v) for v in self.vertices)
 
     def power_of_maximal(self) -> int | None:
-        """Least k with every exponent of length k inside, None if there is none."""
-        return covering_length(self.vertices, Order.unit(self.arity))
+        """Least k with every exponent of length k inside, None if there is none.
+
+        A finite complement walked here is kept for the later queries."""
+        if self._outside is None:
+            if None in axis_powers(self.vertices, self.arity):
+                return None
+            self._set(_outside=_complement(self.vertices, (1,) * self.arity,
+                                           None))
+        return max((n + 1 for _, n in self._outside), default=0)
+
+    def _covering_length(self, order: Order) -> int | None:
+        """covering_length(self.vertices, order), read off the kept
+        complement when there is one."""
+        if self._outside is None:
+            return covering_length(self.vertices, order)
+        return max((order.length(p) + 1 for p, _ in self._outside), default=0)
 
     def equal_upto(self, other: "Diagram", bound: int) -> bool:
         """Membership agreement for every exponent of length at most bound."""
@@ -228,3 +271,60 @@ def first_difference(a: Diagram, b: Diagram, order: Order,
     lacking = [v for mine, other in ((a, b), (b, a)) for v in mine.vertices
                if order.length(v) < bound and not other.contains(v)]
     return min(lacking, key=order.pack, default=None)
+
+
+class _ShrinkingComplement:
+    """The complement of a staircase that grows as exponents enter.
+
+    While some axis has no pure power among the exponents the complement is
+    infinite, and only the axes still lacking one are kept. The first
+    `rows()` after the last axis gets one walks the complement; later
+    exponents only drop the points they divide, since the complement can
+    only shrink. `diagram()` hands the complement over with the diagram.
+    """
+
+    def __init__(self, order: Order):
+        self.order = order
+        self.exps: list[Exponent] = []
+        self.lacking = set(range(order.arity))  # axes with no pure power
+        self.outside: list[tuple[Exponent, int]] | None = None
+        self.applied = 0  # exponents the kept rows account for
+
+    def add(self, exp: Exponent) -> None:
+        self.exps.append(exp)
+        if self.lacking:
+            support = [i for i, x in enumerate(exp) if x]
+            if len(support) < 2:  # a pure power; the origin is one of each axis
+                self.lacking.difference_update(support or range(len(exp)))
+
+    def rows(self) -> list[tuple[Exponent, int]] | None:
+        """The (point, weighted length) rows of the complement of every
+        exponent added, lexicographically ascending, None while it is
+        infinite."""
+        if self.lacking:
+            return None
+        if self.outside is None:
+            self.outside = _complement(self.exps, self.order.weights, None)
+        elif self.applied < len(self.exps):
+            entered = self.exps[self.applied:]
+            self.outside = [row for row in self.outside if not any(
+                exp_divides(e, row[0]) for e in entered)]
+        self.applied = len(self.exps)
+        return self.outside
+
+    def length(self) -> int | None:
+        """covering_length(exps, order) of every exponent added."""
+        rows = self.rows()
+        return None if rows is None else max((n + 1 for _, n in rows),
+                                             default=0)
+
+    def diagram(self) -> Diagram:
+        """Diagram.from_exponents of every exponent added, which keeps
+        their complement when it is finite."""
+        diagram = Diagram.from_exponents(self.exps, arity=self.order.arity)
+        rows = self.rows()
+        if rows is not None:
+            if self.order != Order.unit(self.order.arity):
+                rows = [(p, total_degree(p)) for p, _ in rows]
+            diagram._set(_outside=rows)
+        return diagram

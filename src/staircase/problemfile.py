@@ -43,24 +43,33 @@ class ProblemError(ValueError):
     """Parse or validation failure with a 1-based line and column.
 
     `args[0]` is the message without them, as a command-line flag that
-    breaks the same rule reports it.
+    breaks the same rule reports it. A fault of `parse_problem`'s
+    order_override, which is no place in the text, has line and column None.
     """
 
-    def __init__(self, message: str, line: int, column: int):
+    def __init__(self, message: str, line: int | None, column: int | None):
         super().__init__(message)
         self.line = line
         self.column = column
 
     def __str__(self):
+        if self.line is None:
+            return self.args[0]
         return f"line {self.line}, column {self.column}: {self.args[0]}"
 
 
+def _is_digits(text: str) -> bool:
+    """True for a nonempty run of ASCII digits 0-9, which `str.isdecimal`
+    alone would widen to every Unicode decimal digit."""
+    return text.isascii() and text.isdecimal()
+
+
 def _integer(text: str, line: int, column: int) -> int:
-    """The value of a decimal literal: decimal digits only, with no sign,
+    """The value of a decimal literal: ASCII digits only, with no sign,
     underscore or space, and no more of them than Python's int-conversion
     limit, which `sys.set_int_max_str_digits` sets for the whole process.
     Option lines and the command line's numeric flags read numbers here."""
-    if not text.isdecimal():
+    if not _is_digits(text):
         raise ProblemError(f"invalid int value: {text!r}", line, column)
     try:
         return int(text)
@@ -97,9 +106,9 @@ def _lex(text: str, line: int) -> list[_Token]:
             i += 1
             continue
         col = i + 1
-        if ch.isdecimal():
+        if _is_digits(ch):
             j = i
-            while j < n and text[j].isdecimal():
+            while j < n and _is_digits(text[j]):
                 j += 1
             tokens.append(_Token("int", text[i:j], col))
             i = j
@@ -278,7 +287,10 @@ def _parse_option(words, lineno: int) -> tuple[str, object]:
 
 def parse_problem(text: str,
                   order_override: tuple[int, ...] | None = None) -> ProblemFile:
-    """Parse a problem file; `order_override` replaces any file-level order."""
+    """Parse a problem file; `order_override` replaces any file-level order.
+
+    An order_override whose weight count is not the ring's raises a
+    ProblemError with no line or column."""
     lines = list(_content_lines(text))
 
     ring_vars: list[str] | None = None
@@ -315,6 +327,9 @@ def parse_problem(text: str,
     if ring_vars is None:
         raise ProblemError("missing ring declaration", 1, 1)
     arity = len(ring_vars)
+    if order_override and len(order_override) != arity:
+        raise ProblemError("order needs one weight per ring variable",
+                           None, None)
     weights = order_override or options.get("order") or (1,) * arity
     if len(weights) != arity:
         raise ProblemError("order needs one weight per ring variable",

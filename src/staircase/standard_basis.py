@@ -27,6 +27,10 @@ Once the partial staircase already has a finite complement, every term whose
 weighted length clears that complement lies in the ideal, so reductions may
 delete such terms outright. The completion passes that bound to the divider,
 which defuses the coefficient blowups deep tails would otherwise cause. The
+completion walks that complement once, when the last axis gets a pure power;
+an element that enters afterwards only drops the points its initial exponent
+divides, since the complement can only shrink. The diagram it returns carries
+the complement, so the diagram's queries read it instead of walking. The
 cap cuts before the merge: the divider shifts only the part of a reducer that
 lands below it, and the completion builds only the part of an s-polynomial
 below it, so no deep term is ever computed. Deleting terms commutes with
@@ -68,7 +72,7 @@ from typing import NamedTuple
 from .core import (
     Exponent, Poly, Ring, _cut, _merge, _Record, exp_lcm, resolve_ring,
 )
-from .diagram import Diagram, covering_length
+from .diagram import Diagram, _ShrinkingComplement
 
 __all__ = [
     "DEFAULT_POOL_CEILING",
@@ -415,7 +419,7 @@ def standard_basis(
     cap = 1 + step
     for _ in range(_CERTIFY_ROUNDS):
         sb = _complete(gens, ring, cap)
-        corner = covering_length(sb.diagram.vertices, ring.order)
+        corner = sb.diagram._covering_length(ring.order)
         if corner is not None and corner + step <= cap:
             return sb
         cap = cap + step if corner is None else corner + step
@@ -467,15 +471,17 @@ def _complete(gens: list[Poly], ring: Ring, length_cap: int | None) -> SBasis:
                    if ((basis[i].keys[0] | guards) - lead) & guards != guards]
         live.append(t)
 
+    outside = _ShrinkingComplement(ring.order)
     for t in range(len(basis)):
         enter(t)
+        outside.add(inexps[t])
 
     def window_cap() -> int | None:
         # With a finite complement, a monomial of length >= the covering
         # length reduces forever inside the staircase, so it converges to an
         # ideal element by Krull intersection and dividers may delete it
         # exactly. The caller's length_cap deletes J_B on purpose.
-        caps = (covering_length(inexps, ring.order), length_cap)
+        caps = (outside.length(), length_cap)
         return min((c for c in caps if c is not None), default=None)
 
     cap = window_cap()
@@ -495,9 +501,9 @@ def _complete(gens: list[Poly], ring: Ring, length_cap: int | None) -> SBasis:
         new_index = len(basis) - 1
         records.append(SPairRecord(len(trace._log), False, new_index))
         enter(new_index)
+        outside.add(inexps[new_index])
         cap = window_cap()
-    diagram = Diagram.from_exponents(inexps, arity=ring.arity)
-    return SBasis(tuple(basis), diagram, tuple(records))
+    return SBasis(tuple(basis), outside.diagram(), tuple(records))
 
 
 def diagram_of_ideal(gens, *, ring: Ring | None = None) -> Diagram:

@@ -123,3 +123,16 @@ def box_covering_length(exps, order: Order):
         if not any(all(a <= b for a, b in zip(v, point)) for v in exps):
             cap = max(cap, order.length(point) + 1)
     return cap
+
+
+def diagram_answers(d, order: Order, top: int = 12):
+    """Every query's answer on the diagram d: the bounded ones up to top,
+    before and after `power_of_maximal` (which may keep its walk), and the
+    covering length under order. A diagram a completion returned must give
+    the answers of the same diagram built afresh."""
+    def bounded():
+        return [(d.hilbert_samuel(k), d.hilbert_vector(k), d.complement_upto(k))
+                for k in range(-1, top + 1)]
+    before = bounded()
+    return (d.vertices, before, d.power_of_maximal(), bounded(),
+            d._covering_length(order), d.quotient_dimension())

@@ -331,7 +331,7 @@ INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 @pytest.mark.parametrize("literal,fault", [
     *[pytest.param(text, f"invalid int value: {text!r}", id=text)
-      for text in ("1_0", "+2", "-5")],
+      for text in ("1_0", "+2", "-5", "٣")],  # ARABIC-INDIC DIGIT THREE
     pytest.param("1" + "0" * INT_DIGITS,
                  f"integer literal of {INT_DIGITS + 1} digits is too long",
                  id="past-the-limit", marks=pytest.mark.skipif(
@@ -360,6 +360,32 @@ def test_flags_and_option_lines_refuse_the_same_literals(
     line_fault = re.fullmatch(rf"parse error: line 2, column {column}: (.*)\n",
                               line_err).group(1)
     assert flag_fault == line_fault == fault
+
+
+def test_only_ascii_digits_make_an_exponent(capsys, tmp_path):
+    path = tmp_path / "digit.txt"
+    path.write_text("ring x y\nideal I\n  x^٣ + y\n")
+    code, out, err = run(capsys, ["dim", str(path)])
+    assert (code, out) == (1, "")
+    assert err == "parse error: line 3, column 5: unexpected character '٣'\n"
+
+
+def test_order_flag_of_the_wrong_length_is_a_usage_error(capsys, files,
+                                                         tmp_path):
+    # The flag is at fault, not a place in the file, with or without one.
+    fault = ("usage error: argument --order: "
+             "order needs one weight per ring variable\n")
+    for argv in (["dim", files["main"], "--order", "1,1,1"],
+                 ["det-example", "--mu", "5..6", "--order", "1,1,1"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (1, "", fault)
+    # An `option order` line of the wrong length keeps its position.
+    path = tmp_path / "order.txt"
+    path.write_text(MAIN_FILE.replace("option seed 7\n", "option order 1,1,1\n"))
+    code, out, err = run(capsys, ["dim", str(path)])
+    assert (code, out) == (1, "")
+    assert err == ("parse error: line 1, column 1: "
+                   "order needs one weight per ring variable\n")
 
 
 NOT_REGULAR_FILE = dedent("""\

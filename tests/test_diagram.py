@@ -12,8 +12,14 @@ from staircase import (
     exponents_below,
     exponents_upto,
 )
-from staircase.diagram import axis_powers, covering_length, first_difference
-from helpers import box_covering_length
+from staircase import diagram as diagram_module, standard_basis
+from staircase.diagram import (
+    _ShrinkingComplement, axis_powers, covering_length, first_difference,
+)
+from helpers import (
+    box_covering_length, diagram_answers, random_ideal, random_ring,
+    random_zero_dim_ideal,
+)
 
 
 def test_enumerators_are_ordered():
@@ -76,6 +82,11 @@ def test_from_exponents_minimizes():
         Diagram.from_exponents([])
     with pytest.raises(ValueError):
         Diagram.from_exponents([(1, 0), (1, 0, 0)])
+    # It skips the constructor's sort and antichain check, not its refusals.
+    with pytest.raises(ValueError, match="nonnegative"):
+        Diagram.from_exponents([(2, 0), (1, -1)])
+    with pytest.raises(TypeError):
+        Diagram.from_exponents([(1.0, 0), (0, 1)])
 
 
 def test_from_exponents_matches_minimal_elements():
@@ -236,11 +247,62 @@ def test_complement_walk_matches_brute_force():
         length = covering_length(exps, order)
         assert length == box_covering_length(exps, order)
         assert length == covering_length(d.vertices, order)
+        assert length == Diagram(arity, d.vertices)._covering_length(order)
+        # The completion's complement, kept as the exponents enter one by
+        # one, has the covering length of each prefix, and hands over the
+        # complement of them all with their diagram.
+        kept = _ShrinkingComplement(order)
+        for i, e in enumerate(exps):
+            kept.add(e)
+            assert kept.length() == covering_length(exps[:i + 1], order)
+        handed = kept.diagram()
+        assert handed == d
+        assert (handed._outside is None) == (length is None)
+        assert diagram_answers(handed, order, top=6) == diagram_answers(
+            Diagram(arity, d.vertices), order, top=6)
         finite += length is not None
         infinite += length is None and d.quotient_dimension() > 0
     assert finite > 100 and infinite > 50
     assert covering_length([], Order((1, 2))) is None
     assert Diagram(3, ()).complement_upto(1) == exponents_upto(3, 1)
+
+
+def test_a_completed_diagram_answers_as_one_built_afresh():
+    # A completion hands its diagram the complement it kept, and the
+    # queries read it instead of walking; a diagram built from the same
+    # vertices walks, and must give the same answers.
+    rng = random.Random(433)
+    kept = 0
+    for case in range(80):
+        ring = random_ring(rng, max_weight=3)
+        if case % 2:
+            d = standard_basis(random_zero_dim_ideal(rng, ring), ring=ring)
+        else:  # the cap keeps positive-dimensional completions short
+            d = standard_basis(random_ideal(rng, ring), ring=ring,
+                               length_cap=12)
+        d = d.diagram
+        assert diagram_answers(d, ring.order) == diagram_answers(
+            Diagram(d.arity, d.vertices), ring.order)
+        kept += d._outside is not None
+    assert kept > 40
+
+
+def test_bounded_queries_walk_only_below_their_bound(monkeypatch):
+    # Neither the count nor the vector nor the listing walks ahead of its
+    # bound to keep a complement of 10^12 points.
+    bounds = []
+    walk = diagram_module._complement
+
+    def recording(exps, weights, bound):
+        bounds.append(bound)
+        return walk(exps, weights, bound)
+    monkeypatch.setattr(diagram_module, "_complement", recording)
+    d = Diagram(2, ((10 ** 6, 0), (0, 10 ** 6)))
+    assert d.hilbert_samuel(3) == 10
+    assert d.hilbert_vector(3) == [1, 3, 6, 10]
+    assert len(d.complement_upto(3)) == 10
+    assert bounds == [4, 4, 4]
+    assert d._outside is None
 
 
 def test_equal_upto():

@@ -76,6 +76,10 @@ def test_parse_poly_pinned():
     ("@", 1, "unexpected character"),
     ("x^²", 3, "unexpected character"),
     ("²*x", 1, "unexpected character"),
+    # Digits are ASCII 0-9 only: other Unicode decimal digits, such as
+    # ARABIC-INDIC DIGIT THREE, are no literal.
+    ("x^٣", 3, "unexpected character"),
+    ("٣*x", 1, "unexpected character"),
     # Exponents past the packed field, also when repeated factors add up.
     ("x^3000000000 + y", 3, "exponent 3000000000 does not fit"),
     ("y + x^1073741824*x^1073741824", 20, "exponent 2147483648 does not fit"),
@@ -143,8 +147,14 @@ def test_order_option_and_override():
     overridden = parse_problem("ring x y\noption order 3,1\nideal I\n  x",
                                order_override=(1, 2))
     assert overridden.ring.order.weights == (1, 2)
-    with pytest.raises(ProblemError):
+    # The override replaces a file order of the wrong length, and one of the
+    # wrong length faults the caller's argument, which has no position.
+    assert parse_problem("ring x y\noption order 1,1,1",
+                         order_override=(1, 2)).ring.order.weights == (1, 2)
+    with pytest.raises(ProblemError) as info:
         parse_problem("ring x y", order_override=(1, 2, 3))
+    assert (info.value.line, info.value.column) == (None, None)
+    assert str(info.value) == "order needs one weight per ring variable"
 
 
 @pytest.mark.parametrize("text,line,fragment", [
@@ -160,6 +170,7 @@ def test_order_option_and_override():
     ("ring x y\noption colour 1", 2, "unknown option"),
     ("ring x y\noption seed -3", 2, "invalid int value"),
     ("ring x y\noption seed ²", 2, "invalid int value"),
+    ("ring x y\noption seed ٣", 2, "column 13: invalid int value: '٣'"),
     ("ring x y\noption order ²", 2, "invalid int value"),
     ("ring x y\noption seed", 2, "single value"),
     ("ring x y\nx + y", 2, "polynomial outside a block"),

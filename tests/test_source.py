@@ -163,7 +163,7 @@ PUBLIC_NAMES = sorted("""
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 LAZY = ("staircase.determinacy", "staircase.jet_oracle", "staircase.demo",
-        "dataclasses")
+        "dataclasses", "hashlib")
 from staircase import cli
 report = {"after_import": [m for m in LAZY if m in sys.modules]}
 with contextlib.redirect_stdout(io.StringIO()):
@@ -188,7 +188,9 @@ def test_the_command_line_loads_only_what_its_command_runs(tmp_path):
     out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(problem)],
                          env=env, capture_output=True, text=True, check=True)
     report = json.loads(out.stdout)
+    # hashlib (mostly OpenSSL) loads only when a file's digest is taken.
     assert report["after_import"] == []
+    assert "hashlib" in report["after_diagram"]
     assert report["diagram_exit"] == 0
     assert "staircase.determinacy" not in report["after_diagram"]
     # The package's standard_basis is the function, not its submodule.
@@ -249,3 +251,19 @@ def test_the_hot_paths_build_nothing_their_callers_do_not_read():
     imported = {a.name for n in ast.walk(diagram)
                 if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
     assert "product" not in imported
+
+
+def test_the_window_cap_rescans_nothing():
+    # The completion keeps its complement as elements enter: the cap it
+    # reads after each one neither looks for axis powers nor walks the
+    # complement of every initial exponent again.
+    tree = ast.parse((ROOT / "src" / "staircase" / "standard_basis.py")
+                     .read_text())
+    complete = next(f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                    and f.name == "_complete")
+    window_cap = next(f for f in ast.walk(complete)
+                      if isinstance(f, ast.FunctionDef)
+                      and f.name == "window_cap")
+    called = {getattr(n.func, "id", getattr(n.func, "attr", None))
+              for n in ast.walk(window_cap) if isinstance(n, ast.Call)}
+    assert called & {"covering_length", "axis_powers", "_complement"} == set()

@@ -1,9 +1,11 @@
 """Mora division and the completion loop behind exact staircases."""
 
 import importlib
+import importlib.util
 import os
 import random
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -32,10 +34,11 @@ from staircase import (
     unit_cleared_generators,
 )
 from staircase.core import FIELD_LIMIT
+from staircase.diagram import Diagram, covering_length
 from staircase.standard_basis import _spoly, _unit_free
 from helpers import (
-    is_canonical, random_exponent, random_ideal, random_poly, random_ring,
-    random_tail, vanishing_poly,
+    diagram_answers, is_canonical, random_exponent, random_ideal, random_poly,
+    random_ring, random_tail, vanishing_poly,
 )
 
 RING = Ring(("x", "y"))
@@ -368,6 +371,59 @@ def test_standard_basis_calls_mora_once_per_reduced_spair(monkeypatch):
         chain += sum(r.skipped_chain for r in sb.trace)
         added_steps += sum(r.steps for r in reduced if not r.reduced_to_zero)
     assert total and chain and added_steps
+
+
+def test_the_completion_keeps_the_covering_length_of_its_staircase(
+        monkeypatch):
+    # The completion walks its complement once and then only shrinks it as
+    # elements enter. Every cap it hands Mora must still be the covering
+    # length of the reducers' initial exponents computed from scratch, or
+    # the caller's cap where that is lower, and every diagram it returns
+    # must answer as the same diagram built afresh. The inputs are the
+    # benchmark's Milnor germs, their budget breaches and capped rounds
+    # included.
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parent.parent / "perfbench"
+        / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    module = importlib.import_module("staircase.standard_basis")
+    complete, mora = module._complete, module.mora_normal_form
+    outer: list = []  # the length_cap of each completion running
+    diagrams = []
+    checked = 0
+
+    def completing(gens, ring, length_cap):
+        outer.append(length_cap)
+        try:
+            sb = complete(gens, ring, length_cap)
+        finally:
+            outer.pop()
+        diagrams.append((sb.diagram, ring.order, length_cap))
+        return sb
+
+    def reducing(f, reducers, *, length_cap=None):
+        nonlocal checked
+        fresh = covering_length([g.initial_exponent() for g in reducers],
+                                f.ring.order)
+        assert length_cap == min((c for c in (fresh, outer[-1])
+                                  if c is not None), default=None)
+        checked += 1
+        return mora(f, reducers, length_cap=length_cap)
+
+    monkeypatch.setattr(module, "_complete", completing)
+    monkeypatch.setattr(module, "mora_normal_form", reducing)
+    for seed in (1, 7):
+        for label, run, check in workloads.milnor_germs(seed):
+            assert check(run()) is None, label
+    finite = 0
+    for d, order, _ in diagrams:
+        fresh = Diagram(d.arity, d.vertices)
+        assert diagram_answers(d, order) == diagram_answers(fresh, order)
+        assert (d._outside is None) == (fresh.power_of_maximal() is None)
+        finite += d._outside is not None
+    assert checked > 1000 and finite >= 226  # one per germ at least
+    assert any(cap is not None for _, _, cap in diagrams)
 
 
 def test_standard_basis_pinned_examples():
